@@ -28,7 +28,6 @@ __all__ = [
     "SamplingError",
     "zero_form",
     "one_form",
-    "two_form",
     "vector_field",
     "basis_field",
     "exterior_derivative",
@@ -97,7 +96,13 @@ class Chart:
         return self.coords.index(name)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
-        """``count`` valid points, deterministically from ``seed``."""
+        """``count`` valid points, deterministically from ``seed``.
+
+        Raises :class:`SamplingError` for a count below 1, since every
+        sampled check needs at least one point.
+        """
+        if count < 1:
+            raise SamplingError(f"chart {self.name!r}: sample count must be positive, got {count}")
         if self.sampler is not None:
             pts = np.asarray(self.sampler(count, seed), dtype=float)
             if pts.shape != (count, self.dim):
@@ -311,24 +316,6 @@ def one_form(chart: Chart, coeffs: Mapping[str, ScalarExpr | str | float]) -> Di
             e = const(float(e), chart.coords)
         table[(chart.index(name),)] = e
     return DifferentialForm(chart, 1, _prune(table))
-
-
-def two_form(
-    chart: Chart, coeffs: Mapping[tuple[str, str], ScalarExpr | str | float]
-) -> DifferentialForm:
-    table: dict[tuple[int, ...], ScalarExpr] = {}
-    for (a, b), e in coeffs.items():
-        if isinstance(e, str):
-            e = chart.parse(e)
-        elif not isinstance(e, ScalarExpr):
-            e = const(float(e), chart.coords)
-        i, j = chart.index(a), chart.index(b)
-        if i == j:
-            raise ValueError("repeated index in a 2-form slot")
-        if i > j:
-            i, j, e = j, i, -e
-        table[(i, j)] = table[(i, j)] + e if (i, j) in table else e
-    return DifferentialForm(chart, 2, _prune(table))
 
 
 def vector_field(chart: Chart, comps: Mapping[str, ScalarExpr | str | float]) -> VectorField:

@@ -31,6 +31,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections.abc import Mapping, Sequence
@@ -550,8 +551,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options shared by every command (see ``build_parser``) that take a value.
+_VALUE_OPTIONS = ("--seed", "--samples", "--tol", "--format", "--config")
+
+
+def _operands_last(tokens: Sequence[str]) -> list[str]:
+    """The ``bracket`` arguments reordered as ``OPTIONS -- OPERANDS``.
+
+    A function or point may start with an ASCII minus (``-y``, ``-1,2,3``),
+    which argparse would take for an unknown option; after ``--`` every
+    token is an operand.  A token is an option only if it is ``-h``,
+    ``--help``, or one of :data:`_VALUE_OPTIONS` (with ``=VALUE`` or
+    followed by its value).
+    """
+    options: list[str] = []
+    operands: list[str] = []
+    rest = iter(tokens)
+    for token in rest:
+        if token == "--":
+            operands.extend(rest)
+        elif token in ("-h", "--help"):
+            options.append(token)
+        elif token.split("=", 1)[0] in _VALUE_OPTIONS:
+            options.append(token)
+            if "=" not in token:
+                options.extend(itertools.islice(rest, 1))
+        else:
+            operands.append(token)
+    return [*options, "--", *operands]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["bracket"]:
+        argv[1:] = _operands_last(argv[1:])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

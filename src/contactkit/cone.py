@@ -48,6 +48,7 @@ from .contact import (
     ContactSystem,
     GeometricError,
     _make_result,
+    _pointwise_rank,
     resolve_tolerance,
 )
 from .expressions import ScalarExpr, const, coord
@@ -424,15 +425,14 @@ def commuting_lift_check(
         for j in range(i + 1, len(lifted)):
             values = lie_bracket(lifted[i], lifted[j]).evaluate(pts)
             residuals = np.maximum(residuals, np.max(np.abs(values), axis=1))
-    columns = np.stack([f.evaluate(pts) for f in lifted], axis=2)
-    svals = np.linalg.svd(columns, compute_uv=False)
-    rel = resolve_tolerance("rank_svd", tolerances)
-    ranks = np.sum(svals > rel * svals[:, :1], axis=1)
-    max_rank = int(ranks.max())
+    max_rank, rank_fraction = _pointwise_rank(
+        np.stack([f.evaluate(pts) for f in lifted], axis=2),
+        resolve_tolerance("rank_svd", tolerances),
+    )
     detail = {
         "fields": len(lifted),
         "lifted_rank": max_rank,
-        "rank_fraction": float(np.mean(ranks == max_rank)),
+        "rank_fraction": rank_fraction,
         "expected_rank": cone.n + 1,
     }
     tol = resolve_tolerance("lift_commuting", tolerances)

@@ -294,17 +294,26 @@ class _Solved:
     dX: np.ndarray
 
 
-class _Frame:
-    """All batched per-point data for one system at one set of points.
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Geometry:
+    """The expression-independent data of one system at one set of points.
 
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
-    ``D[n, i, j] = dEta(e_i, e_j)``, ``dD[n, k, i, j] = d_k D[i, j]``.
+    ``D[n, i, j] = dEta(e_i, e_j)``, and ``dA[n, k, row, i] = d_k A[row, i]``
+    for the field system ``A = [E; D^T]``.  ``solver`` holds the pointwise
+    pseudo-inverse ``P = V S^-1 U^T`` of ``A`` and its singular values
+    ``S``; ``reeb`` the solved Reeb field.  Both are computed on first use.
+
+    One geometry is shared by every frame on the same (system, points), so
+    its arrays are read-only.  The lazy parts are computed whole and then
+    assigned, so threads sharing a geometry at worst repeat that work.
     """
 
-    def __init__(self, system: ContactSystem, points) -> None:
-        pts, _ = _as_batch(points, system.chart.dim)
-        self.system = system
-        self.points = pts
+    def __init__(self, system: ContactSystem, pts: np.ndarray, key: bytes) -> None:
         n, d = pts.shape
         E = np.zeros((n, d))
         dE = np.zeros((n, d, d))
@@ -314,19 +323,24 @@ class _Frame:
             E[:, k] = v
             dE[:, :, k] = g
             d2E[:, :, :, k] = h
+        D = dE - np.swapaxes(dE, 1, 2)
+        dD = d2E - np.swapaxes(d2E, 2, 3)
+        self.system = system
+        self.key = key
+        self.points = pts.copy()
         self.E = E
         self.dE = dE
-        self.D = dE - np.swapaxes(dE, 1, 2)
-        self.dD = d2E - np.swapaxes(d2E, 2, 3)
-        self._svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._dA: np.ndarray | None = None
+        self.D = D
+        self.dA = np.concatenate([dE[:, :, None, :], np.swapaxes(dD, 2, 3)], axis=2)
+        _read_only(self.points, E, dE, D, self.dA)
+        self._solver: tuple[np.ndarray, np.ndarray] | None = None
         self._reeb: _Solved | None = None
-        self._cache: dict[int, tuple[ScalarExpr, _Solved]] = {}
 
     # -- linear algebra ---------------------------------------------------
 
-    def _solver(self):
-        if self._svd is None:
+    def solver(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, S)``: the pointwise pseudo-inverse and singular values."""
+        if self._solver is None:
             A = np.concatenate([self.E[:, None, :], np.swapaxes(self.D, 1, 2)], axis=1)
             U, S, Vt = np.linalg.svd(A, full_matrices=False)
             bad = S[:, -1] <= SINGULAR_RATIO * S[:, 0]
@@ -337,21 +351,18 @@ class _Frame:
                     f"singular-value ratio {S[i, -1]:.3e} / {S[i, 0]:.3e} "
                     f"below {SINGULAR_RATIO:g}; the contact condition fails here",
                 )
-            self._svd = (U, S, Vt)
-            # dA[n, k, row, i] = d_k A[row, i]
-            self._dA = np.concatenate(
-                [self.dE[:, :, None, :], np.swapaxes(self.dD, 2, 3)], axis=2
-            )
-        return self._svd
+            P = (np.swapaxes(Vt, 1, 2) / S[:, None, :]) @ np.swapaxes(U, 1, 2)
+            _read_only(P, S)
+            self._solver = (P, S)
+        return self._solver
 
-    def _pinv_apply(self, B: np.ndarray) -> np.ndarray:
-        U, S, Vt = self._solver()
-        return np.einsum("nji,nj,nkj,nkm->nim", Vt, 1.0 / S, U, B)
-
-    def _solve_linear(self, h, dh, d2h, a, da):
+    def solve_linear(self, h, dh, d2h, a, da):
+        """The field ``X`` with right-hand side ``(h, a eta - dh)`` and its
+        Jacobian ``dX``, from ``A dX = db - (dA) X``."""
+        P = self.solver()[0]
         n, d = self.points.shape
         b = np.concatenate([h[:, None], a[:, None] * self.E - dh], axis=1)
-        X = self._pinv_apply(b[:, :, None])[:, :, 0]
+        X = (P @ b[:, :, None])[:, :, 0]
         db = np.empty((n, d + 1, d))
         db[:, 0, :] = dh
         db[:, 1:, :] = (
@@ -359,31 +370,66 @@ class _Frame:
             + a[:, None, None] * np.swapaxes(self.dE, 1, 2)
             - np.swapaxes(d2h, 1, 2)
         )
-        rhs = db - np.einsum("nkri,ni->nrk", self._dA, X)
-        dX = self._pinv_apply(rhs)
-        return X, dX
-
-    # -- solved fields ----------------------------------------------------
+        rhs = db - np.einsum("nkri,ni->nrk", self.dA, X)
+        return X, P @ rhs
 
     def reeb(self) -> _Solved:
         if self._reeb is None:
             n, d = self.points.shape
             one = np.ones(n)
+            zero0 = np.zeros(n)
             zero1 = np.zeros((n, d))
             zero2 = np.zeros((n, d, d))
-            X, dX = self._solve_linear(one, zero1, zero2, np.zeros(n), zero1)
-            self._reeb = _Solved(one, zero1, zero2, np.zeros(n), zero1, X, dX)
+            X, dX = self.solve_linear(one, zero1, zero2, zero0, zero1)
+            _read_only(one, zero0, zero1, zero2, X, dX)
+            self._reeb = _Solved(one, zero1, zero2, zero0, zero1, X, dX)
         return self._reeb
+
+
+#: The geometry of the most recent (system, points).  One slot rather than
+#: one per system: a battery runs all its checks on one system and one
+#: sample set before moving on, and a slot per system would keep the
+#: geometry of every live system (``verify all`` holds nine) in memory.
+_shared: _Geometry | None = None
+
+
+def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
+    global _shared
+    key = pts.tobytes()
+    geometry = _shared
+    if geometry is None or geometry.system is not system or geometry.key != key:
+        _shared = None  # let the old geometry go before building the new one
+        geometry = _shared = _Geometry(system, pts, key)
+    return geometry
+
+
+class _Frame:
+    """One call's view of (system, points): the shared geometry plus a
+    per-call cache of solved expressions, dropped with the frame, so the
+    shared slot never holds user expressions."""
+
+    def __init__(self, system: ContactSystem, points) -> None:
+        pts, _ = _as_batch(points, system.chart.dim)
+        geometry = _shared_geometry(system, pts)
+        self.geometry = geometry
+        self.system = system
+        self.points = geometry.points
+        self.E = geometry.E
+        self.dE = geometry.dE
+        self.D = geometry.D
+        self._cache: dict[int, tuple[ScalarExpr, _Solved]] = {}
+
+    # -- solved fields ----------------------------------------------------
 
     def solved(self, expr: ScalarExpr) -> _Solved:
         hit = self._cache.get(id(expr))
         if hit is not None:
             return hit[1]
-        R = self.reeb()
+        R = self.geometry.reeb()
         h, dh, d2h = expr.jets(self.points)
         a = np.einsum("ni,ni->n", R.X, dh)
         da = np.einsum("nik,ni->nk", R.dX, dh) + np.einsum("ni,nki->nk", R.X, d2h)
-        X, dX = self._solve_linear(h, dh, d2h, a, da)
+        X, dX = self.geometry.solve_linear(h, dh, d2h, a, da)
         sol = _Solved(h, dh, d2h, a, da, X, dX)
         self._cache[id(expr)] = (expr, sol)
         return sol
@@ -441,8 +487,7 @@ class HamiltonianFieldEvaluator:
     """Solver-backed vector field for one Hamiltonian function.
 
     Evaluates anywhere on the chart; the Reeb field is the ``hamiltonian = 1``
-    case.  The most recent frame is kept so that ``evaluate``, ``jacobian``
-    and ``residuals`` at the same points share one solve.
+    case.  Calls at the same points share the frame geometry (one SVD).
     """
 
     def __init__(self, system: ContactSystem, hamiltonian: ScalarExpr):
@@ -450,17 +495,10 @@ class HamiltonianFieldEvaluator:
             raise ValueError("hamiltonian bound to different coordinates than the chart")
         self.system = system
         self.hamiltonian = hamiltonian
-        self._last: tuple[bytes, _Frame] | None = None
-
-    def _frame(self, pts: np.ndarray) -> _Frame:
-        key = pts.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = (key, _Frame(self.system, pts))
-        return self._last[1]
 
     def evaluate(self, points) -> np.ndarray:
         pts, single = _as_batch(points, self.system.chart.dim)
-        X = self._frame(pts).solved(self.hamiltonian).X
+        X = _Frame(self.system, pts).solved(self.hamiltonian).X
         return X[0] if single else X
 
     def __call__(self, points) -> np.ndarray:
@@ -469,13 +507,13 @@ class HamiltonianFieldEvaluator:
     def jacobian(self, points) -> np.ndarray:
         """``J[n, i, k] = d_k X^i`` (or ``(dim, dim)`` for a single point)."""
         pts, single = _as_batch(points, self.system.chart.dim)
-        dX = self._frame(pts).solved(self.hamiltonian).dX
+        dX = _Frame(self.system, pts).solved(self.hamiltonian).dX
         return dX[0] if single else dX
 
     def reeb_derivative(self, points) -> np.ndarray | float:
         """Values of the Reeb derivative of the Hamiltonian."""
         pts, single = _as_batch(points, self.system.chart.dim)
-        a = self._frame(pts).solved(self.hamiltonian).a
+        a = _Frame(self.system, pts).solved(self.hamiltonian).a
         return float(a[0]) if single else a
 
     def residual_arrays(self, points) -> dict[str, np.ndarray]:
@@ -486,7 +524,7 @@ class HamiltonianFieldEvaluator:
         ``invariance``:  max_j |(Lie_X eta)_j - a eta_j|
         """
         pts, _ = _as_batch(points, self.system.chart.dim)
-        fr = self._frame(pts)
+        fr = _Frame(self.system, pts)
         s = fr.solved(self.hamiltonian)
         pairing = np.abs(fr.eta_values(s.X) - s.value)
         target = s.a[:, None] * fr.E - s.grad
@@ -719,7 +757,13 @@ def independence_rank(
     rel = resolve_tolerance("rank_svd", tolerances)
     pts = system.chart.sample(samples, seed)
     fr = _Frame(system, pts)
-    columns = np.stack([fr.solved(f).X for f in fns], axis=2)
+    return _pointwise_rank(np.stack([fr.solved(f).X for f in fns], axis=2), rel)
+
+
+def _pointwise_rank(columns: np.ndarray, rel: float) -> tuple[int, float]:
+    """Max over points of the numerical rank of ``columns[n]`` (singular
+    values above ``rel`` times the largest) and the fraction of points
+    attaining it."""
     svals = np.linalg.svd(columns, compute_uv=False)
     ranks = np.sum(svals > rel * svals[:, :1], axis=1)
     max_rank = int(ranks.max())
@@ -787,11 +831,7 @@ def classify_system(
             involution_residual = max(
                 involution_residual, float(np.max(np.abs(fr.bracket(si, sj))))
             )
-    columns = np.stack([s.X for s in sols], axis=2)
-    svals = np.linalg.svd(columns, compute_uv=False)
-    ranks = np.sum(svals > rel * svals[:, :1], axis=1)
-    max_rank = int(ranks.max())
-    rank_fraction = float(np.mean(ranks == max_rank))
+    max_rank, rank_fraction = _pointwise_rank(np.stack([s.X for s in sols], axis=2), rel)
 
     goodness_residuals = [float(np.max(np.abs(s.a))) for s in sols]
     lie_residuals = [float(np.max(np.abs(fr.lie_eta(s)))) for s in sols]
@@ -1008,7 +1048,7 @@ def reeb_defining_check(
     """Worst residual of the two Reeb defining equations at samples."""
     pts = system.chart.sample(samples, seed)
     fr = _Frame(system, pts)
-    R = fr.reeb()
+    R = fr.geometry.reeb()
     pairing = np.abs(fr.eta_values(R.X) - 1.0)
     contraction = np.max(np.abs(fr.contraction(R.X)), axis=1)
     residuals = np.maximum(pairing, contraction)

@@ -393,6 +393,16 @@ class _Div(_Node):
         self.b.free(out)
 
 
+def _power_term(c: int, va, e: int):
+    """``c * va**e``; a zero coefficient gives 0 also where ``va`` is 0 and
+    ``e`` is negative (the k = 0, 1 derivative terms of ``a^k``), where the
+    product would be ``0 * inf = nan``."""
+    if c != 0 or e >= 0:
+        return c * va**e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(va == 0.0, 0.0, c * va**e)
+
+
 class _Pow(_Node):
     __slots__ = ("a", "k")
     level = _POW
@@ -407,11 +417,11 @@ class _Pow(_Node):
         if k < 0 and np.any(va == 0.0):
             raise EvalDomainError("zero raised to a negative power")
         v = va**k
-        vk1 = va ** (k - 1)
-        g = _gscale(k * vk1, ga)
+        c1 = _power_term(k, va, k - 1)
+        g = _gscale(c1, ga)
         h = _gadd(
-            _gscale(k * vk1, ha),
-            _gscale(k * (k - 1) * va ** (k - 2), _outer_self(ga)),
+            _gscale(c1, ha),
+            _gscale(_power_term(k * (k - 1), va, k - 2), _outer_self(ga)),
         )
         return v, g, h
 

@@ -43,6 +43,12 @@ def test_chart_sampler_deterministic_and_in_bounds():
     assert np.all(np.abs(pts1) <= 2.0)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_chart_sample_needs_a_positive_count(count):
+    with pytest.raises(SamplingError, match="positive"):
+        R3.sample(count, 7)
+
+
 def test_chart_domain_predicate_respected():
     c = Chart(
         "halfplane",

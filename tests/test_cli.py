@@ -1,6 +1,7 @@
 """Command-line interface: parsing, batteries, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from contactkit.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    _VALUE_OPTIONS,
     main,
     model_battery,
     parse_config_file,
@@ -147,6 +149,43 @@ class TestBracketCommand:
         assert abs(value) < 1e-12
         assert "defining_residuals[f]" in out
         assert "defining_residuals[g]" in out
+
+    def test_readme_example_with_ascii_minus(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", "-y", "z", "1,2,3")
+        assert code == EXIT_OK
+        value = float(out.splitlines()[0].split("=")[1])
+        assert abs(value) < 1e-12
+
+    def test_negative_point_with_options_on_both_sides(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "bracket",
+            "--seed",
+            "5",
+            "x,y,z",
+            "dz - y*dx",
+            "1",
+            "-z",
+            "-1,-2,3",
+            "--format=records",
+        )
+        assert code == EXIT_OK
+        record = json.loads(out.splitlines()[0])
+        assert record["point"] == [-1.0, -2.0, 3.0]
+        assert record["g"] == "-z"
+        assert record["value"] == pytest.approx(-1.0)
+
+    def test_operand_reordering_knows_every_option(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "--help")
+        assert code == EXIT_OK
+        shown = set(re.findall(r"\[(--[a-z-]+)", out))
+        assert shown == set(_VALUE_OPTIONS)
+
+    def test_unit_powers_at_origin_are_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz - y^1*dx", "x^0", "z", "0,0,0")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "{f, g}(0, 0, 0) = 1"
+        assert "nan" not in out
 
     def test_golden_one(self, capsys):
         code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", "1", "z", "1,2,3")

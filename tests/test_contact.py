@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from contactkit import contact as contact_module
 from contactkit.charts import Chart, one_form
 from contactkit.contact import (
     CheckResult,
@@ -30,7 +31,7 @@ from contactkit.contact import (
     reeb_field,
     verify_flow_identity,
 )
-from contactkit.expressions import const, parse, random_polynomial
+from contactkit.expressions import ScalarExpr, const, parse, random_polynomial
 
 SEED = 20110615
 
@@ -721,3 +722,102 @@ class TestCheckResult:
         record = classify_system(example_darboux_system(), samples=32, seed=SEED)
         payload = json.loads(json.dumps(record.to_record()))
         assert payload["completely_integrable_witnessed"] is True
+
+
+# -- shared frame ----------------------------------------------------------
+
+
+class TestSharedFrame:
+    """Checks on one (system, points) share one frame geometry: one SVD,
+    the same results as a fresh solve, nothing of the caller's kept."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_results_identical_on_hit_and_miss(self, monkeypatch):
+        sys = heisenberg(1)
+        rng = np.random.default_rng([SEED, 41])
+        h = random_polynomial(sys.chart.coords, 3, rng)
+        f = random_polynomial(sys.chart.coords, 3, rng)
+        checks = [
+            lambda: verify_flow_identity(sys, h, f, seed=SEED),
+            lambda: is_good(sys, h, seed=SEED),
+            lambda: is_first_integral(sys, h, f, seed=SEED),
+            lambda: reeb_defining_check(sys, seed=SEED),
+            lambda: hamiltonian_contract_checks(sys, h, seed=SEED),
+            lambda: involution_table(sys, (h, f), seed=SEED),
+            lambda: is_contact_form(sys, seed=SEED),
+            lambda: hamiltonian_field(sys, f).residual_arrays(sys.chart.sample(128, SEED)),
+        ]
+        misses = []
+        for check in checks:
+            monkeypatch.setattr(contact_module, "_shared", None)
+            misses.append(check())
+        hits = [check() for check in checks]
+        *results, arrays = misses
+        assert results == hits[:-1]  # CheckResult equality compares residuals exactly
+        for name, values in arrays.items():
+            assert values.tobytes() == hits[-1][name].tobytes()
+
+    def test_one_svd_for_repeated_flow_checks(self, svd_calls):
+        sys = heisenberg(1)
+        rng = np.random.default_rng([SEED, 42])
+        pairs = [
+            (random_polynomial(sys.chart.coords, 3, rng), random_polynomial(sys.chart.coords, 3, rng))
+            for _ in range(200)
+        ]
+        for h, f in pairs:
+            assert verify_flow_identity(sys, h, f, samples=128, seed=SEED).passed
+        assert svd_calls == [(128, 4, 3)]
+
+    def test_evaluator_calls_share_one_svd(self, svd_calls):
+        sys = darboux3()
+        field = hamiltonian_field(sys, sys.chart.parse("x*z + y"))
+        pts = sys.chart.sample(16, SEED)
+        field.evaluate(pts)
+        field.jacobian(pts)
+        field.residuals(pts)
+        reeb_field(sys).evaluate(pts)
+        assert len(svd_calls) == 1
+
+    def test_other_system_or_points_miss(self, svd_calls):
+        first, twin = darboux3(), darboux3()
+        h, f = first.chart.parse("x*z + y"), first.chart.parse("z")
+        verify_flow_identity(first, h, f, seed=SEED)
+        verify_flow_identity(twin, h, f, seed=SEED)  # equal but not the same system
+        verify_flow_identity(first, h, f, seed=SEED)
+        verify_flow_identity(first, h, f, seed=SEED + 1)
+        verify_flow_identity(first, h, f, samples=64, seed=SEED)
+        verify_flow_identity(first, h, f, samples=64, seed=SEED)
+        assert len(svd_calls) == 5
+
+    def test_shared_arrays_reject_writes(self):
+        sys = darboux3()
+        reeb_defining_check(sys, seed=SEED)
+        geometry = contact_module._shared
+        P, S = geometry.solver()
+        R = geometry.reeb()
+        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.dA, P, S]
+        shared += [R.value, R.grad, R.hess, R.a, R.da, R.X, R.dX]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_slot_keeps_no_expression_data(self):
+        sys = heisenberg(1)
+        h, f = sys.chart.parse("x1*z + y1"), sys.chart.parse("z^2")
+        verify_flow_identity(sys, h, f, seed=SEED)
+        jacobi_bracket(sys, h, f).evaluate(sys.chart.sample(8, SEED))
+        geometry = contact_module._shared
+        held = vars(geometry).values()
+        assert not any(isinstance(value, (dict, list, set, ScalarExpr)) for value in held)
+        assert [v for v in held if isinstance(v, contact_module._Solved)] == [geometry.reeb()]

@@ -131,6 +131,31 @@ def test_jet_constant():
     assert not jet.hessian.any()
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_jet_unit_powers_at_zero_base(k):
+    # (xy)^0 and (xy)^1 are smooth where xy = 0; the power rule's terms
+    # 0 * (xy)^-1 and 0 * (xy)^-2 must give 0 there, not nan
+    jet = parse(f"(x*y)^{k}", XYZ).eval_jet2((0.0, 0.0, 1.0))
+    plain = parse("x*y" if k else "1", XYZ).eval_jet2((0.0, 0.0, 1.0))
+    assert jet.value == plain.value
+    assert np.array_equal(jet.gradient, plain.gradient)
+    assert np.array_equal(jet.hessian, plain.hessian)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_jet_unit_powers_away_from_zero_unchanged(k):
+    # bit for bit the general power rule wherever the base is nonzero
+    pts = np.array([[0.5, -2.0, 1.0], [-3.0, 0.25, 0.0]])
+    v, g, h = parse(f"(x*y)^{k}", XYZ).jets(pts)
+    bv, bg, bh = parse("x*y", XYZ).jets(pts)
+    c1 = (k * bv ** (k - 1))[:, None]
+    c2 = (k * (k - 1) * bv ** (k - 2))[:, None, None]
+    assert v.tobytes() == (bv**k).tobytes()
+    assert g.tobytes() == (c1 * bg).tobytes()
+    expected_h = c1[:, :, None] * bh + c2 * np.einsum("ni,nj->nij", bg, bg)
+    assert h.tobytes() == expected_h.tobytes()
+
+
 def test_jet_sin_exp_golden():
     e = parse("sin(x)*exp(y)", ("x", "y"))
     jet = e.eval_jet2((0.0, 0.0))
