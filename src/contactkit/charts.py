@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import ScalarExpr, const
+from .expressions import ScalarExpr, _values_of, const
 
 __all__ = [
     "Chart",
@@ -173,7 +173,7 @@ class VectorField:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        out = np.stack([c.values(pts) for c in self.components], axis=1)
+        out = np.stack(_values_of(self.components, pts), axis=1)
         return out[0] if single else out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -229,8 +229,9 @@ class DifferentialForm:
     # -- evaluation -------------------------------------------------------
 
     def coefficient_arrays(self, points: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-        pts = np.asarray(points, dtype=float)
-        return {k: e.values(pts) for k, e in sorted(self.coefficients.items())}
+        keys = sorted(self.coefficients)
+        arrays = _values_of([self.coefficients[k] for k in keys], points)
+        return dict(zip(keys, arrays))
 
     def max_abs(self, points: np.ndarray) -> np.ndarray:
         """Pointwise max |coefficient|, shape (n,); zeros for the empty form."""
@@ -246,8 +247,9 @@ class DifferentialForm:
             raise FormDegreeError("covector() needs a 1-form")
         pts = np.asarray(points, dtype=float)
         out = np.zeros((len(pts), self.chart.dim))
-        for (i,), e in self.coefficients.items():
-            out[:, i] = e.values(pts)
+        arrays = _values_of(list(self.coefficients.values()), pts)
+        for (i,), v in zip(self.coefficients, arrays):
+            out[:, i] = v
         return out
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
@@ -257,8 +259,8 @@ class DifferentialForm:
         pts = np.asarray(points, dtype=float)
         d = self.chart.dim
         out = np.zeros((len(pts), d, d))
-        for (i, j), e in self.coefficients.items():
-            v = e.values(pts)
+        arrays = _values_of(list(self.coefficients.values()), pts)
+        for (i, j), v in zip(self.coefficients, arrays):
             out[:, i, j] = v
             out[:, j, i] = -v
         return out

@@ -415,6 +415,14 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
     f = _parse_scalar(chart, args.f, "f")
     g = _parse_scalar(chart, args.g, "g")
     point = _parse_point(args.point, chart.dim)
+    point_text = ", ".join(f"{v:g}" for v in point)
+    # The bracket needs the jets of f and g at the point; check them first
+    # so that an undefined value is reported against its own argument.
+    for what, expr in (("f", f), ("g", g)):
+        try:
+            expr.jets(point)
+        except ExprError as exc:
+            raise UsageError(f"{what} is undefined at ({point_text}): {exc}") from None
     system = ContactSystem(chart, eta, verify=False)
     try:
         value = jacobi_bracket(system, f, g).at(point)
@@ -425,7 +433,8 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
     except GeometricError as exc:
         stream.write(f"error: contact condition fails: {exc}\n")
         return EXIT_GEOMETRY
-    point_text = ", ".join(f"{v:g}" for v in point)
+    except ExprError as exc:
+        raise UsageError(f"eta is undefined at ({point_text}): {exc}") from None
     if config.output == "text":
         stream.write(f"{{f, g}}({point_text}) = {value:.12g}\n")
         for tag in sorted(residuals):

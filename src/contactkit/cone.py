@@ -41,7 +41,6 @@ from .charts import (
 from .contact import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    TOLERANCES,
     VERIFY_SAMPLES,
     CheckResult,
     ContactConditionError,
@@ -69,19 +68,6 @@ __all__ = [
     "cone_hamiltonian",
     "commuting_lift_check",
 ]
-
-TOLERANCES.update(
-    {
-        "cone_closure": 1e-10,
-        "cone_nondegeneracy": 1e-10,
-        "cone_homogeneity": 1e-8,
-        "lift_precondition": 1e-8,
-        "lift_invariance": 1e-8,
-        "lift_commuting": 1e-8,
-        "cone_contraction": 1e-8,
-        "scale_covariance": 1e-9,
-    }
-)
 
 RADIAL = "r"
 DEFAULT_RADIAL_BOUNDS = (0.1, 10.0)

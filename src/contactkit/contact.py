@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
-from .expressions import ScalarExpr, const, parse
+from .expressions import ScalarExpr, _values_of, const, parse
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -71,9 +71,10 @@ SINGULAR_RATIO = 1e-12
 #: Sample count used for the construction-time contact check.
 VERIFY_SAMPLES = 32
 
-#: Default tolerance per named check.  Callers may override any entry through
-#: the ``tolerances`` mapping accepted by every operation; other modules
-#: register their own names by updating this table at import time.
+#: Default tolerance per named check, for every module of the package, so
+#: the registry does not depend on which modules were imported.  Callers may
+#: override any entry through the ``tolerances`` mapping accepted by every
+#: operation.
 TOLERANCES: dict[str, float] = {
     "contact_determinant": 1e-10,
     "reeb_defining": 1e-9,
@@ -89,6 +90,17 @@ TOLERANCES: dict[str, float] = {
     "rank_svd": 1e-8,
     "dense_fraction": 0.5,
     "inverse_roundtrip": 1e-9,
+    # cone.py
+    "cone_closure": 1e-10,
+    "cone_nondegeneracy": 1e-10,
+    "cone_homogeneity": 1e-8,
+    "lift_precondition": 1e-8,
+    "lift_invariance": 1e-8,
+    "lift_commuting": 1e-8,
+    "cone_contraction": 1e-8,
+    "scale_covariance": 1e-9,
+    # ypq.py
+    "level_set": 1e-12,
 }
 
 
@@ -932,7 +944,7 @@ class CoordinateMap:
 
     def _evaluate(self, comps, points) -> np.ndarray:
         pts, single = _as_batch(points, self.chart.dim)
-        out = np.stack([c.values(pts) for c in comps], axis=1)
+        out = np.stack(_values_of(comps, pts), axis=1)
         return out[0] if single else out
 
     def apply(self, points) -> np.ndarray:

@@ -15,10 +15,26 @@ Grammar::
 
 Unary minus binds like a ``base``, so ``-x^2`` means ``(-x)^2`` exactly as the
 grammar reads.  ``^`` takes a literal (optionally signed) integer exponent.
+
+Expressions form a hash-consed DAG.  Every node constructor returns the one
+live node with its structure (class, operand nodes, constant bits,
+coordinate, exponent or function name), so structurally equal expressions
+are the same object; nothing is reordered or reassociated, and the table of
+live nodes holds them weakly.  Each node caches the set of coordinates below
+it as a bit mask and its symbolic partial derivatives once computed, so
+``free_coords``, ``constant_value`` and ``derivative`` cost the distinct
+nodes of an expression, not the nodes of the tree it writes out to
+(:meth:`ScalarExpr.node_counts` gives both).  Values are computed by a tape:
+the distinct nodes under one or more roots in topological order, each
+evaluated once with the same arithmetic and domain checks as a recursive
+walk, each intermediate dropped after its last use.  Jets are still computed
+by a recursive walk.
 """
 
 from __future__ import annotations
 
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -130,8 +146,8 @@ def _gscale(s, g):
     # s: scalar or (n,) array; g: (n,dim) or (n,dim,dim) or None
     if g is None:
         return None
-    if np.ndim(s) == 1:
-        s = s.reshape((-1,) + (1,) * (g.ndim - 1))
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        s = s[:, None] if g.ndim == 2 else s[:, None, None]
     return s * g
 
 
@@ -150,28 +166,76 @@ def _outer_self(g):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# AST nodes: a hash-consed DAG
 # ---------------------------------------------------------------------------
 
 # precedence levels for printing, mirroring the grammar nonterminals
 _ADD, _MUL, _POW, _BASE = 1, 2, 3, 4
 
+#: The intern table: structural key -> weak reference to the one live node
+#: with that structure.  A key is the class's ``_tag`` and the node's own
+#: fields, with operands named by ``id``: an id is unique while its node
+#: lives, and a live node keeps its operands alive, so a key holds nothing
+#: alive and a stale key can only lead to a dead reference.  There is no
+#: lock: two threads building one structure at once may each get a node,
+#: which loses sharing, not correctness.
+_TABLE: dict[tuple, weakref.ref] = {}
+#: Table size at which the next new node first sweeps out dead references:
+#: twice the live size after the last sweep, so sweeping is amortized O(1).
+_sweep_at = 1024
+
+_float_bits = struct.Struct("<d").pack
+_ref = weakref.ref
+
+
+def _sweep() -> None:
+    global _TABLE, _sweep_at
+    _TABLE = {k: r for k, r in _TABLE.items() if r() is not None}
+    _sweep_at = max(1024, 2 * len(_TABLE))
+
+
+def _intern_size() -> int:
+    """Live entries of the intern table, after sweeping out dead ones."""
+    _sweep()
+    return len(_TABLE)
+
 
 class _Node:
-    __slots__ = ()
+    """One node of the expression DAG.
 
+    Constructors intern: each returns the single live node with its
+    structure (class, operand nodes, and ``v``/``i, name``/``k``/``fn``), so
+    structurally equal expressions share one object and ``is`` is structural
+    equality.  Nodes are immutable.  ``mask`` has bit ``i`` set when
+    coordinate ``i`` occurs below the node; ``diff(i)`` is memoized on the
+    node and dies with it.
+    """
+
+    __slots__ = ("mask", "_diffs", "__weakref__")
+
+    #: distinct per class; the first item of every intern key
+    _tag: int
     level = _BASE
+    #: the operand nodes, evaluated in this order
+    operands: tuple = ()
 
     def jet(self, ctx: _JetCtx):
         raise NotImplementedError
 
-    def val(self, ctx: _JetCtx):
-        raise NotImplementedError
-
     def diff(self, i: int) -> "_Node":
+        memo = self._diffs
+        if memo is None:
+            memo = self._diffs = {}
+        d = memo.get(i)
+        if d is None:
+            d = memo[i] = self._diff(i)
+        return d
+
+    def _diff(self, i: int) -> "_Node":
         raise NotImplementedError
 
-    def subst(self, table: Sequence["_Node"]) -> "_Node":
+    def subst(self, done: Mapping["_Node", "_Node"], table: Sequence["_Node"]) -> "_Node":
+        """This node rebuilt over the substituted operands in ``done``."""
         raise NotImplementedError
 
     def src(self) -> str:
@@ -180,9 +244,6 @@ class _Node:
     def wrapped(self, minimum: int) -> str:
         s = self.src()
         return s if self.level >= minimum else f"({s})"
-
-    def free(self, out: set) -> None:
-        pass
 
 
 def _fmt_number(v: float) -> str:
@@ -193,20 +254,30 @@ def _fmt_number(v: float) -> str:
 
 class _Const(_Node):
     __slots__ = ("v",)
+    _tag = 0
 
-    def __init__(self, v: float):
-        self.v = float(v)
+    def __new__(cls, v: float):
+        v = float(v)
+        key = (cls._tag, _float_bits(v))  # bits keep 0.0/-0.0 and NaNs apart
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.v, node.mask, node._diffs = v, 0, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
 
     def jet(self, ctx):
         return np.full(ctx.n, self.v), None, None
 
-    def val(self, ctx):
-        return np.full(ctx.n, self.v)
-
-    def diff(self, i):
+    def _diff(self, i):
         return _Const(0.0)
 
-    def subst(self, table):
+    def subst(self, done, table):
         return self
 
     def src(self):
@@ -215,112 +286,142 @@ class _Const(_Node):
 
 class _Coord(_Node):
     __slots__ = ("i", "name")
+    _tag = 1
 
-    def __init__(self, i: int, name: str):
-        self.i = i
-        self.name = name
+    def __new__(cls, i: int, name: str):
+        key = (cls._tag, i, name)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.i, node.name, node.mask, node._diffs = i, name, 1 << i, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
 
     def jet(self, ctx):
         return ctx.points[:, self.i], ctx.coord_grad(self.i), None
 
-    def val(self, ctx):
-        return ctx.points[:, self.i]
-
-    def diff(self, i):
+    def _diff(self, i):
         return _Const(1.0 if i == self.i else 0.0)
 
-    def subst(self, table):
+    def subst(self, done, table):
         return table[self.i]
 
     def src(self):
         return self.name
 
-    def free(self, out):
-        out.add(self.i)
 
+class _Unary(_Node):
+    """A node with one operand ``a``."""
 
-class _Neg(_Node):
     __slots__ = ("a",)
 
-    def __init__(self, a: _Node):
-        self.a = a
+    @property
+    def operands(self):
+        return (self.a,)
+
+
+class _Neg(_Unary):
+    __slots__ = ()
+    _tag = 2
+
+    def __new__(cls, a: _Node):
+        key = (cls._tag, id(a))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.a, node.mask, node._diffs = a, a.mask, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
 
     def jet(self, ctx):
         v, g, h = self.a.jet(ctx)
         return -v, _gscale(-1.0, g), _gscale(-1.0, h)
 
-    def val(self, ctx):
-        return -self.a.val(ctx)
-
-    def diff(self, i):
+    def _diff(self, i):
         return _neg(self.a.diff(i))
 
-    def subst(self, table):
-        return _neg(self.a.subst(table))
+    def subst(self, done, table):
+        return _neg(done[self.a])
 
     def src(self):
         return "-" + self.a.wrapped(_BASE)
 
-    def free(self, out):
-        self.a.free(out)
 
-
-class _Add(_Node):
+class _Binary(_Node):
     __slots__ = ("a", "b")
-    level = _ADD
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+    def __new__(cls, a: _Node, b: _Node):
+        key = (cls._tag, id(a), id(b))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.a, node.b, node.mask, node._diffs = a, b, a.mask | b.mask, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
+
+    @property
+    def operands(self):
+        return (self.a, self.b)
+
+
+class _Add(_Binary):
+    __slots__ = ()
+    _tag = 3
+    level = _ADD
 
     def jet(self, ctx):
         va, ga, ha = self.a.jet(ctx)
         vb, gb, hb = self.b.jet(ctx)
         return va + vb, _gadd(ga, gb), _gadd(ha, hb)
 
-    def val(self, ctx):
-        return self.a.val(ctx) + self.b.val(ctx)
-
-    def diff(self, i):
+    def _diff(self, i):
         return _add(self.a.diff(i), self.b.diff(i))
 
-    def subst(self, table):
-        return _add(self.a.subst(table), self.b.subst(table))
+    def subst(self, done, table):
+        return _add(done[self.a], done[self.b])
 
     def src(self):
         return f"{self.a.wrapped(_ADD)} + {self.b.wrapped(_MUL)}"
 
-    def free(self, out):
-        self.a.free(out)
-        self.b.free(out)
-
 
 class _Sub(_Add):
     __slots__ = ()
+    _tag = 4
 
     def jet(self, ctx):
         va, ga, ha = self.a.jet(ctx)
         vb, gb, hb = self.b.jet(ctx)
         return va - vb, _gsub(ga, gb), _gsub(ha, hb)
 
-    def val(self, ctx):
-        return self.a.val(ctx) - self.b.val(ctx)
-
-    def diff(self, i):
+    def _diff(self, i):
         return _sub(self.a.diff(i), self.b.diff(i))
 
-    def subst(self, table):
-        return _sub(self.a.subst(table), self.b.subst(table))
+    def subst(self, done, table):
+        return _sub(done[self.a], done[self.b])
 
     def src(self):
         return f"{self.a.wrapped(_ADD)} - {self.b.wrapped(_MUL)}"
 
 
-class _Mul(_Node):
-    __slots__ = ("a", "b")
+class _Mul(_Binary):
+    __slots__ = ()
+    _tag = 5
     level = _MUL
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
 
     def jet(self, ctx):
         va, ga, ha = self.a.jet(ctx)
@@ -330,29 +431,20 @@ class _Mul(_Node):
         h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
         return v, g, h
 
-    def val(self, ctx):
-        return self.a.val(ctx) * self.b.val(ctx)
-
-    def diff(self, i):
+    def _diff(self, i):
         return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
 
-    def subst(self, table):
-        return _mul(self.a.subst(table), self.b.subst(table))
+    def subst(self, done, table):
+        return _mul(done[self.a], done[self.b])
 
     def src(self):
         return f"{self.a.wrapped(_MUL)}*{self.b.wrapped(_POW)}"
 
-    def free(self, out):
-        self.a.free(out)
-        self.b.free(out)
 
-
-class _Div(_Node):
-    __slots__ = ("a", "b")
+class _Div(_Binary):
+    __slots__ = ()
+    _tag = 6
     level = _MUL
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
 
     def _recip(self, ctx):
         vb, gb, hb = self.b.jet(ctx)
@@ -372,25 +464,15 @@ class _Div(_Node):
         h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
         return v, g, h
 
-    def val(self, ctx):
-        vb = self.b.val(ctx)
-        if np.any(vb == 0.0):
-            raise EvalDomainError("division by zero during evaluation")
-        return self.a.val(ctx) / vb
-
-    def diff(self, i):
+    def _diff(self, i):
         da, db = self.a.diff(i), self.b.diff(i)
         return _sub(_div(da, self.b), _div(_mul(self.a, db), _pow(self.b, 2)))
 
-    def subst(self, table):
-        return _div(self.a.subst(table), self.b.subst(table))
+    def subst(self, done, table):
+        return _div(done[self.a], done[self.b])
 
     def src(self):
         return f"{self.a.wrapped(_MUL)}/{self.b.wrapped(_POW)}"
-
-    def free(self, out):
-        self.a.free(out)
-        self.b.free(out)
 
 
 def _power_term(c: int, va, e: int):
@@ -403,13 +485,25 @@ def _power_term(c: int, va, e: int):
         return np.where(va == 0.0, 0.0, c * va**e)
 
 
-class _Pow(_Node):
-    __slots__ = ("a", "k")
+class _Pow(_Unary):
+    __slots__ = ("k",)
+    _tag = 7
     level = _POW
 
-    def __init__(self, a, k: int):
-        self.a = a
-        self.k = int(k)
+    def __new__(cls, a: _Node, k: int):
+        k = int(k)
+        key = (cls._tag, id(a), k)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.a, node.k, node.mask, node._diffs = a, k, a.mask, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
 
     def jet(self, ctx):
         k = self.k
@@ -425,31 +519,33 @@ class _Pow(_Node):
         )
         return v, g, h
 
-    def val(self, ctx):
-        va = self.a.val(ctx)
-        if self.k < 0 and np.any(va == 0.0):
-            raise EvalDomainError("zero raised to a negative power")
-        return va**self.k
-
-    def diff(self, i):
+    def _diff(self, i):
         return _mul(_mul(_Const(self.k), _pow(self.a, self.k - 1)), self.a.diff(i))
 
-    def subst(self, table):
-        return _pow(self.a.subst(table), self.k)
+    def subst(self, done, table):
+        return _pow(done[self.a], self.k)
 
     def src(self):
         return f"{self.a.wrapped(_BASE)}^{self.k}"
 
-    def free(self, out):
-        self.a.free(out)
 
+class _Call(_Unary):
+    __slots__ = ("fn",)
+    _tag = 8
 
-class _Call(_Node):
-    __slots__ = ("fn", "a")
-
-    def __init__(self, fn: str, a: _Node):
-        self.fn = fn
-        self.a = a
+    def __new__(cls, fn: str, a: _Node):
+        key = (cls._tag, id(a), fn)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.fn, node.a, node.mask, node._diffs = fn, a, a.mask, None
+        if len(_TABLE) >= _sweep_at:
+            _sweep()
+        _TABLE[key] = _ref(node)
+        return node
 
     def jet(self, ctx):
         va, ga, ha = self.a.jet(ctx)
@@ -474,19 +570,7 @@ class _Call(_Node):
         h = _gadd(_gscale(d1, ha), _gscale(d2, _outer_self(ga)))
         return v, g, h
 
-    def val(self, ctx):
-        va = self.a.val(ctx)
-        if self.fn == "sin":
-            return np.sin(va)
-        if self.fn == "cos":
-            return np.cos(va)
-        if self.fn == "exp":
-            return np.exp(va)
-        if np.any(va < 0.0):
-            raise EvalDomainError("sqrt of negative value")
-        return np.sqrt(va)
-
-    def diff(self, i):
+    def _diff(self, i):
         da = self.a.diff(i)
         if self.fn == "sin":
             outer = _Call("cos", self.a)
@@ -498,14 +582,11 @@ class _Call(_Node):
             outer = _div(_Const(0.5), _Call("sqrt", self.a))
         return _mul(outer, da)
 
-    def subst(self, table):
-        return _Call(self.fn, self.a.subst(table))
+    def subst(self, done, table):
+        return _Call(self.fn, done[self.a])
 
     def src(self):
         return f"{self.fn}({self.a.src()})"
-
-    def free(self, out):
-        self.a.free(out)
 
 
 # smart constructors: light folding so derived expressions stay small
@@ -582,22 +663,114 @@ def _pow(a: _Node, k: int) -> _Node:
 
 
 # ---------------------------------------------------------------------------
+# the DAG as a whole: schedule, substitution, evaluation tape
+# ---------------------------------------------------------------------------
+
+
+def _schedule(roots: Iterable[_Node]) -> list[_Node]:
+    """The distinct nodes under ``roots``, each once and after its operands.
+
+    This is the order in which a recursive walk of the trees would first
+    finish each node.
+    """
+    done: set[_Node] = set()
+    order: list[_Node] = []
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if node in done:
+                continue
+            if ready:
+                done.add(node)
+                order.append(node)
+                continue
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.operands) if c not in done)
+    return order
+
+
+def _subst(root: _Node, table: Sequence[_Node]) -> _Node:
+    """``root`` with coordinate ``i`` replaced by ``table[i]``, one rebuild
+    per distinct node."""
+    done: dict[_Node, _Node] = {}
+    for node in _schedule((root,)):
+        done[node] = node.subst(done, table)
+    return done[root]
+
+
+def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
+    """The values of ``roots`` at ``points`` (n, dim), by an order-0 tape.
+
+    The tape is :func:`_schedule`'s order: each distinct node is computed
+    once from its operands' arrays, with a recursive walk's arithmetic
+    (``a / b``, ``a**k``) and domain checks, and an array is dropped after
+    the step that last reads it.  The returned arrays may be shared or
+    views of ``points``; callers copy them.
+    """
+    nodes = _schedule(roots)
+    step = {node: k for k, node in enumerate(nodes)}
+    args = [tuple(step[c] for c in node.operands) for node in nodes]
+    last_read = {j: k for k, operands in enumerate(args) for j in operands}
+    for root in roots:
+        last_read.pop(step[root], None)
+    frees: list[list[int]] = [[] for _ in nodes]
+    for j, k in last_read.items():
+        frees[k].append(j)
+    n = len(points)
+    vals: list = [None] * len(nodes)
+    for k, (node, x, dead) in enumerate(zip(nodes, args, frees)):
+        t = type(node)
+        if t is _Mul:
+            v = vals[x[0]] * vals[x[1]]
+        elif t is _Add:
+            v = vals[x[0]] + vals[x[1]]
+        elif t is _Sub:
+            v = vals[x[0]] - vals[x[1]]
+        elif t is _Coord:
+            v = points[:, node.i]
+        elif t is _Const:
+            v = np.full(n, node.v)
+        elif t is _Pow:
+            va = vals[x[0]]
+            if node.k < 0 and np.any(va == 0.0):
+                raise EvalDomainError("zero raised to a negative power")
+            v = va**node.k
+        elif t is _Neg:
+            v = -vals[x[0]]
+        elif t is _Div:
+            vb = vals[x[1]]
+            if np.any(vb == 0.0):
+                raise EvalDomainError("division by zero during evaluation")
+            v = vals[x[0]] / vb
+        else:
+            va = vals[x[0]]
+            fn = node.fn
+            if fn == "sin":
+                v = np.sin(va)
+            elif fn == "cos":
+                v = np.cos(va)
+            elif fn == "exp":
+                v = np.exp(va)
+            else:
+                if np.any(va < 0.0):
+                    raise EvalDomainError("sqrt of negative value")
+                v = np.sqrt(va)
+        vals[k] = v
+        for j in dead:
+            vals[j] = None
+    return [vals[step[root]] for root in roots]
+
+
+# ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` per token, ending with an ``eof`` token."""
     tokens = []
     i, n = 0, len(source)
     while i < n:
@@ -621,22 +794,22 @@ def _tokenize(source: str) -> list[_Token]:
                     j = k
                     while j < n and source[j].isdigit():
                         j += 1
-            tokens.append(_Token("number", source[i:j], i))
+            tokens.append(("number", source[i:j], i))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", source[i:j], i))
+            tokens.append(("ident", source[i:j], i))
             i = j
             continue
         if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
+            tokens.append((c, c, i))
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", n))
+    tokens.append(("eof", "", n))
     return tokens
 
 
@@ -648,82 +821,80 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        """Consume a token of ``kind`` and return its text."""
+        got, text, offset = self.tokens[self.pos]
+        if got != kind:
+            raise ExprSyntaxError(f"expected {kind!r}", offset)
         self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ExprSyntaxError(f"expected {kind!r}", t.pos)
-        return self.next()
+        return text
 
     def parse(self) -> _Node:
         node = self.expr()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ExprSyntaxError(f"unexpected {t.text!r}", t.pos)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "eof":
+            raise ExprSyntaxError(f"unexpected {text!r}", offset)
         return node
 
     def expr(self) -> _Node:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
             node = _Add(node, rhs) if op == "+" else _Sub(node, rhs)
         return node
 
     def term(self) -> _Node:
         node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) in ("*", "/"):
+            self.pos += 1
             rhs = self.factor()
             node = _Mul(node, rhs) if op == "*" else _Div(node, rhs)
         return node
 
     def factor(self) -> _Node:
         node = self.base()
-        if self.peek().kind == "^":
-            self.next()
+        tokens = self.tokens
+        if tokens[self.pos][0] == "^":
+            self.pos += 1
             sign = 1
-            if self.peek().kind == "-":
-                self.next()
+            if tokens[self.pos][0] == "-":
+                self.pos += 1
                 sign = -1
-            t = self.expect("number")
-            if not t.text.isdigit():
-                raise ExprSyntaxError("exponent must be an integer", t.pos)
-            node = _Pow(node, sign * int(t.text))
+            offset = tokens[self.pos][2]
+            text = self.expect("number")
+            if not text.isdigit():
+                raise ExprSyntaxError("exponent must be an integer", offset)
+            node = _Pow(node, sign * int(text))
         return node
 
     def base(self) -> _Node:
-        t = self.peek()
-        if t.kind == "number":
-            self.next()
-            return _Const(float(t.text))
-        if t.kind == "ident":
-            self.next()
-            if t.text in _FUNCTIONS:
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return _Const(float(text))
+        if kind == "ident":
+            self.pos += 1
+            if text in _FUNCTIONS:
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")
-                return _Call(t.text, inner)
-            i = self.index.get(t.text)
+                return _Call(text, inner)
+            i = self.index.get(text)
             if i is None:
-                raise UnknownCoordinateError(t.text, t.pos, self.coords)
-            return _Coord(i, t.text)
-        if t.kind == "(":
-            self.next()
+                raise UnknownCoordinateError(text, offset, self.coords)
+            return _Coord(i, text)
+        if kind == "(":
+            self.pos += 1
             inner = self.expr()
             self.expect(")")
             return inner
-        if t.kind == "-":
-            self.next()
+        if kind == "-":
+            self.pos += 1
             return _Neg(self.base())
-        raise ExprSyntaxError(f"expected a value, got {t.text or 'end of input'!r}", t.pos)
+        raise ExprSyntaxError(f"expected a value, got {text or 'end of input'!r}", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +939,28 @@ class ScalarExpr:
 
     @property
     def free_coords(self) -> tuple[str, ...]:
-        idx: set[int] = set()
-        self._root.free(idx)
-        return tuple(self.coords[i] for i in sorted(idx))
+        mask = self._root.mask
+        return tuple(name for i, name in enumerate(self.coords) if mask >> i & 1)
 
     def constant_value(self) -> float | None:
         """The exact constant value if the expression folds to one, else None."""
-        idx: set[int] = set()
-        self._root.free(idx)
-        if idx:
+        root = self._root
+        if root.mask:
             return None
-        ctx = _JetCtx(np.zeros((1, max(len(self.coords), 1))))
-        return float(self._root.val(ctx)[0])
+        if type(root) is _Const:
+            return root.v
+        point = np.zeros((1, max(len(self.coords), 1)))
+        return float(_evaluate((root,), point)[0][0])
+
+    def node_counts(self) -> tuple[int, int]:
+        """``(tree_nodes, distinct_nodes)``: the size of the expression written
+        out as a tree, and the number of distinct nodes the evaluation tape
+        visits.  Their ratio is the symbolic swell that interning removes."""
+        size: dict[_Node, int] = {}
+        order = _schedule((self._root,))
+        for node in order:
+            size[node] = 1 + sum(size[c] for c in node.operands)
+        return size[self._root], len(order)
 
     # -- evaluation -------------------------------------------------------
 
@@ -796,8 +977,7 @@ class ScalarExpr:
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape (n,)."""
-        pts = self._check_points(points)
-        return np.asarray(self._root.val(_JetCtx(pts)), dtype=float).reshape(len(pts)).copy()
+        return _values_of((self,), points)[0]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.values(points)
@@ -848,7 +1028,7 @@ class ScalarExpr:
                 if name not in index:
                     raise UnknownCoordinateError(name, 0, coords)
                 table.append(_Coord(index[name], name))
-        return ScalarExpr(coords, self._root.subst(table))
+        return ScalarExpr(coords, _subst(self._root, table))
 
     def rebind(self, coords: Sequence[str]) -> "ScalarExpr":
         """Re-index the expression onto a chart containing the same names."""
@@ -905,6 +1085,16 @@ class ScalarExpr:
         if not isinstance(k, int):
             raise TypeError("exponent must be a literal integer")
         return self._wrap(_pow(self._root, k))
+
+
+def _values_of(exprs: Sequence[ScalarExpr], points: np.ndarray) -> list[np.ndarray]:
+    """Values of several expressions over one chart at a batch of points,
+    shape (n,) each, from one shared tape; every array is a fresh copy."""
+    if not exprs:
+        return []
+    pts = exprs[0]._check_points(points)
+    arrays = _evaluate([e._root for e in exprs], pts)
+    return [np.array(v, dtype=float) for v in arrays]
 
 
 def parse(source: str, coords: Sequence[str]) -> ScalarExpr:

@@ -29,7 +29,6 @@ from .charts import seeded_rng
 from .contact import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    TOLERANCES,
     CheckResult,
     resolve_tolerance,
 )
@@ -66,8 +65,6 @@ __all__ = [
     "format_dossier",
     "format_class_table",
 ]
-
-TOLERANCES.update({"level_set": 1e-12})
 
 
 class InvalidToricParameterError(ValueError):

@@ -208,6 +208,26 @@ class TestBracketCommand:
         assert {r["function"] for r in records[1:]} == {"f", "g"}
 
     @pytest.mark.parametrize(
+        "f, g, point, message",
+        [
+            ("sqrt(x)", "z", "-1,2,3", "f is undefined at (-1, 2, 3): sqrt of negative value"),
+            ("x^-1", "z", "0,2,3", "f is undefined at (0, 2, 3): zero raised to a negative power"),
+            ("z", "1/y", "1,0,3", "g is undefined at (1, 0, 3): division by zero"),
+        ],
+    )
+    def test_function_undefined_at_point_exits_usage(self, capsys, f, g, point, message):
+        code, out, err = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", f, g, point)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_form_undefined_at_point_exits_usage(self, capsys):
+        code, _, err = run_cli(capsys, "bracket", "x,y,z", "dz - sqrt(x)*dx", "1", "z", "-1,2,3")
+        assert code == EXIT_USAGE
+        assert "eta is undefined at (-1, 2, 3): sqrt of negative value" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("bracket", "x,y,z", "dz - y*dx", "(y", "z", "1,2,3"),

@@ -1,6 +1,8 @@
 """Contact-core checks: solved fields, brackets, classification, transport."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from contactkit import contact as contact_module
 from contactkit.charts import Chart, one_form
 from contactkit.contact import (
+    TOLERANCES,
     CheckResult,
     ConformalFactorError,
     ContactConditionError,
@@ -821,3 +824,50 @@ class TestSharedFrame:
         held = vars(geometry).values()
         assert not any(isinstance(value, (dict, list, set, ScalarExpr)) for value in held)
         assert [v for v in held if isinstance(v, contact_module._Solved)] == [geometry.reeb()]
+
+
+class TestToleranceRegistry:
+    """Every named tolerance lives in the one ``TOLERANCES`` literal of
+    ``contact.py``, so the registry is the same whatever was imported."""
+
+    SOURCES = sorted(Path(contact_module.__file__).parent.glob("*.py"))
+
+    @staticmethod
+    def _literal_keys() -> set[str]:
+        tree = ast.parse(Path(contact_module.__file__).read_text())
+        for node in tree.body:
+            if (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "TOLERANCES"
+            ):
+                return {key.value for key in node.value.keys}
+        raise AssertionError("no TOLERANCES literal in contact.py")
+
+    def test_every_resolved_name_is_in_the_literal(self):
+        keys = self._literal_keys()
+        assert keys == set(TOLERANCES)
+        resolved = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "resolve_tolerance"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    resolved.add((path.name, node.args[0].value))
+        assert {"cone_closure", "level_set", "goodness"} <= {name for _, name in resolved}
+        assert {(f, name) for f, name in resolved if name not in keys} == set()
+
+    def test_no_module_mutates_the_registry(self):
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert node.value.id != "TOLERANCES", f"{path.name} mutates TOLERANCES"
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+                            assert target.value.id != "TOLERANCES", f"{path.name} mutates TOLERANCES"

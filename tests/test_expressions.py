@@ -296,6 +296,9 @@ def test_round_trip_property(seed):
     pts = rng.uniform(-1.5, 1.5, size=(16, 3))
     back = parse(str(e), XYZ)
     assert np.array_equal(e.values(pts), back.values(pts))
+    # interning may make back and e one DAG; the tree-walking reference
+    # evaluator keeps this an independent check
+    assert np.array_equal(back.values(pts), _reference(e._root, pts))
     # printing is stable under one more round trip
     assert str(back) == str(e)
 
@@ -342,3 +345,220 @@ def test_jet2_fields():
     assert jet.value == 6.0
     assert jet.gradient.shape == (2,)
     assert jet.hessian.shape == (2, 2)
+
+
+# --- hash-consed DAG ------------------------------------------------------------
+#
+# Interning makes structurally equal expressions one object, so comparing an
+# expression with its printed-and-parsed copy can compare a DAG with itself.
+# The recursive evaluator below is written from the node fields alone and
+# walks the expression as a tree; the evaluation tape must agree with it bit
+# for bit, domain errors included.
+
+
+def _reference(node, pts):
+    name = type(node).__name__
+    if name == "_Const":
+        return np.full(len(pts), node.v)
+    if name == "_Coord":
+        return pts[:, node.i]
+    if name == "_Neg":
+        return -_reference(node.a, pts)
+    if name == "_Pow":
+        a = _reference(node.a, pts)
+        if node.k < 0 and np.any(a == 0.0):
+            raise EvalDomainError("zero raised to a negative power")
+        return a**node.k
+    if name == "_Call":
+        a = _reference(node.a, pts)
+        if node.fn == "sqrt" and np.any(a < 0.0):
+            raise EvalDomainError("sqrt of negative value")
+        return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}[node.fn](a)
+    a, b = _reference(node.a, pts), _reference(node.b, pts)
+    if name == "_Add":
+        return a + b
+    if name == "_Sub":
+        return a - b
+    if name == "_Mul":
+        return a * b
+    assert name == "_Div", name
+    if np.any(b == 0.0):
+        raise EvalDomainError("division by zero during evaluation")
+    return a / b
+
+
+def _tree_size(node):
+    return 1 + sum(_tree_size(c) for c in node.operands)
+
+
+_CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0])
+
+
+def _dag_exprs():
+    from contactkit.expressions import sqrt as esqrt
+
+    leaves = st.one_of(
+        _CONSTANTS.map(lambda v: const(v, XYZ)),
+        st.sampled_from(XYZ).map(lambda name: coord(name, XYZ)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
+            st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
+            st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
+            st.tuples(children, children).map(lambda ab: ab[0] / ab[1]),
+            # powers through the parser: the smart constructor folds a
+            # constant base in Python floats, which raise on 0^-1
+            st.tuples(children, st.integers(-3, 3)).map(
+                lambda ak: parse(f"({ak[0]})^{ak[1]}", XYZ)
+            ),
+            children.map(lambda a: -a),
+            children.map(esqrt),
+            # the parser builds raw nodes, without the smart constructors' folding
+            children.map(lambda a: parse(f"({a})^-1 - -0.0*x", XYZ)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _outcome(fn):
+    with np.errstate(all="ignore"):
+        try:
+            return fn()
+        except EvalDomainError:
+            return EvalDomainError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _dag_exprs(),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]), min_size=6, max_size=6),
+)
+def test_tape_matches_recursive_reference(e, values):
+    pts = np.array(values).reshape(2, 3)
+    got = _outcome(lambda: e.values(pts))
+    want = _outcome(lambda: _reference(e._root, pts))
+    if want is EvalDomainError:
+        assert got is EvalDomainError
+    else:
+        assert got is not EvalDomainError
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_structurally_equal_builds_are_identical():
+    x, y = coord("x", XYZ), coord("y", XYZ)
+    built = x * y + 1.0
+    assert parse("x*y + 1", XYZ)._root is built._root
+    assert parse("x*y + 1", XYZ)._root is parse("x * y+1", XYZ)._root
+    assert (x * y)._root is (x * y)._root
+    e = parse("sin(x)/(y^2 + 2) - sqrt(z^2 + 1)", XYZ)
+    assert parse(str(e), XYZ)._root is e._root
+    assert e.derivative("x")._root is e.derivative("x")._root
+
+
+def test_intern_keys_are_structural():
+    from contactkit.expressions import _Const, _Coord
+
+    assert _Const(0.0) is not _Const(-0.0)
+    assert _Const(-0.0) is _Const(-0.0)
+    assert _Const(float("nan")) is _Const(float("nan"))
+    assert _Coord(0, "x") is not _Coord(0, "y")
+    assert _Coord(0, "x") is not _Coord(1, "x")
+    # no reordering of commutative operands
+    assert parse("x*y", XYZ)._root is not parse("y*x", XYZ)._root
+
+
+def test_intern_table_releases_dead_nodes():
+    import gc
+
+    from contactkit.expressions import _intern_size
+
+    gc.collect()
+    before = _intern_size()
+    e = parse("exp(0.001234*x) * sin(6789.25*y) / (x^2 + 4321.125)", XYZ)
+    d = e.derivative("x").derivative("y")  # memoized derivatives form cycles
+    e.values(np.ones((3, 3)))
+    assert _intern_size() > before
+    del e, d
+    gc.collect()
+    assert _intern_size() == before
+
+
+def test_shared_dag_costs_distinct_nodes_not_tree_nodes():
+    # 80 levels of e -> e*e + x: the tree has 2^82 - 3 nodes, the DAG 161
+    e = coord("x", XYZ)
+    for _ in range(80):
+        e = e * e + coord("x", XYZ)
+    tree, distinct = e.node_counts()
+    assert tree == 2**82 - 3
+    assert distinct == 1 + 2 * 80
+    # memoized derivatives: linear in the levels, not exponential
+    d_tree, d_distinct = e.derivative("x").node_counts()
+    assert d_tree > 2**80
+    assert d_distinct == 478
+    # (asserting on locals: printing e itself would write out the tree)
+    got = e.values(np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 0.0]])).tolist()
+    assert got == [0.0, -1.0]
+    free, constant = e.free_coords, e.constant_value()
+    assert free == ("x",)
+    assert constant is None
+
+
+def test_node_counts_of_a_tree():
+    e = parse("(x + y)*(x + y) - 1", XYZ)
+    assert e.node_counts() == (_tree_size(e._root), 6)
+    assert e.node_counts() == (9, 6)
+
+
+# --- differential test against sympy (optional oracle) -------------------------
+
+
+def _to_sympy(node, symbols):
+    import sympy
+
+    name = type(node).__name__
+    if name == "_Const":
+        return sympy.Rational(node.v)  # the exact binary value
+    if name == "_Coord":
+        return symbols[node.i]
+    if name == "_Neg":
+        return -_to_sympy(node.a, symbols)
+    if name == "_Pow":
+        return _to_sympy(node.a, symbols) ** node.k
+    if name == "_Call":
+        return getattr(sympy, node.fn)(_to_sympy(node.a, symbols))
+    a, b = _to_sympy(node.a, symbols), _to_sympy(node.b, symbols)
+    return {"_Add": a + b, "_Sub": a - b, "_Mul": a * b, "_Div": a / b}[name]
+
+
+def test_derivatives_and_jets_match_sympy():
+    """Memoized symbolic ``derivative`` and exact ``jets`` against
+    ``sympy.diff`` evaluated by ``lambdify``, on 60 seeded expressions."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(XYZ)
+    rng = np.random.default_rng(1101)
+    pts = rng.uniform(-0.9, 0.9, size=(5, 3))
+
+    def numeric(expr):
+        f = sympy.lambdify(symbols, expr, "numpy")
+        return np.broadcast_to(np.asarray(f(*pts.T), dtype=float), (len(pts),))
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    for _ in range(60):
+        e = _random_expr(rng, XYZ, int(rng.integers(1, 4)))
+        se = _to_sympy(e._root, symbols)
+        v, g, h = e.jets(pts)
+        assert close(v, numeric(se))
+        for i, name in enumerate(XYZ):
+            di = sympy.diff(se, symbols[i])
+            want = numeric(di)
+            assert close(e.derivative(name).values(pts), want), (str(e), name)
+            assert close(g[:, i], want), (str(e), name)
+            for j in range(i, 3):
+                want2 = numeric(sympy.diff(di, symbols[j]))
+                assert close(h[:, i, j], want2) and close(h[:, j, i], want2), (str(e), i, j)
+                second = e.derivative(name).derivative(XYZ[j]).values(pts)
+                assert close(second, want2), (str(e), i, j)
