@@ -338,21 +338,32 @@ def basis_field(chart: Chart, name: str) -> VectorField:
 # -- exterior calculus ----------------------------------------------------
 
 
-def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
-    """d(omega): antisymmetrized first partials, degree raised by one."""
+def _exterior_terms(
+    omega: DifferentialForm,
+) -> list[tuple[tuple[int, ...], float, ScalarExpr]]:
+    """The signed first partials that ``d(omega)`` sums, as
+    ``(slot, sign, partial)``: coefficient ``slot`` of ``d(omega)`` is the
+    sum of ``sign * partial`` over its entries."""
     if omega.degree > MAX_DEGREE - 1:
         raise FormDegreeError("exterior derivative of a degree-3 form is out of range")
     chart = omega.chart
-    out: dict[tuple[int, ...], ScalarExpr] = {}
+    terms = []
     for key, e in omega.coefficients.items():
         for i in range(chart.dim):
             if i in key:
                 continue
             slot = tuple(sorted(key + (i,)))
-            sign = (-1.0) ** slot.index(i)
-            term = e.derivative(chart.coords[i]) * sign
-            out[slot] = out[slot] + term if slot in out else term
-    return DifferentialForm(chart, omega.degree + 1, _prune(out))
+            terms.append((slot, (-1.0) ** slot.index(i), e.derivative(chart.coords[i])))
+    return terms
+
+
+def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
+    """d(omega): antisymmetrized first partials, degree raised by one."""
+    out: dict[tuple[int, ...], ScalarExpr] = {}
+    for slot, sign, partial in _exterior_terms(omega):
+        term = partial * sign
+        out[slot] = out[slot] + term if slot in out else term
+    return DifferentialForm(omega.chart, omega.degree + 1, _prune(out))
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:

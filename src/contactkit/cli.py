@@ -23,9 +23,10 @@ overrides, output format):
     member, or the equivalence-class table of every member with p <= P_MAX.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 geometric
-precondition failure, 4 invalid toric parameters.  All output is
-deterministic for a fixed command line: the same flags give byte-identical
-output.
+precondition failure, 4 invalid toric parameters, 141 the reader closed the
+output pipe (128 + SIGPIPE, as in ``contactkit ... | head -1``).  All output
+is deterministic for a fixed command line: the same flags give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -60,7 +62,7 @@ from .cone import (
     nondegeneracy_check,
     scale_covariance_check,
 )
-from .expressions import ExprError, ScalarExpr
+from .expressions import ExprError, ScalarExpr, const, parse
 from .models import ModelDescriptor, build_model, default_model_keys
 from .ypq import (
     InvalidToricParameterError,
@@ -83,6 +85,7 @@ __all__ = [
     "EXIT_USAGE",
     "EXIT_GEOMETRY",
     "EXIT_TORIC",
+    "EXIT_BROKEN_PIPE",
     "model_battery",
     "parse_one_form",
     "main",
@@ -93,6 +96,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_GEOMETRY = 3
 EXIT_TORIC = 4
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 _SCALE_FACTOR = 2.0
 
@@ -204,63 +208,31 @@ def _normalize(text: str) -> str:
     return text.replace("−", "-").strip()
 
 
-def _split_terms(source: str) -> list[tuple[int, str]]:
-    """Split an additive expression at top-level signs: [(sign, term), ...]."""
-    terms: list[tuple[int, str]] = []
-    sign, start, depth = 1, 0, 0
-    for i, ch in enumerate(source):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            terms.append((sign, source[start:i].strip()))
-            sign, start = (1 if ch == "+" else -1), i + 1
-        elif ch in "+-" and depth == 0 and i == start:
-            # leading sign of this term
-            if ch == "-":
-                sign = -sign
-            start = i + 1
-    terms.append((sign, source[start:].strip()))
-    return terms
-
-
 def parse_one_form(chart: Chart, source: str) -> DifferentialForm:
     """Parse ``coeff*dx + coeff*dy + ...`` into a 1-form on ``chart``.
 
-    Each additive term must end in a differential ``d<coord>``, optionally
-    preceded by ``coefficient *``; a bare ``d<coord>`` has coefficient 1.
+    The source is one expression over the chart coordinates and their
+    differentials ``d<coord>``; it must be linear in the differentials.
+    The coefficient of ``d<coord>`` is the partial derivative with respect
+    to it, with the differentials set to 0.
     """
     text = "".join(_normalize(source).split())
     if not text:
         raise UsageError("empty 1-form")
-    coefficients: dict[str, ScalarExpr] = {}
-    for sign, term in _split_terms(text):
-        if not term:
-            raise UsageError(f"empty term in 1-form {source!r}")
-        name = None
-        coeff_source = None
-        for coord in chart.coords:
-            token = "d" + coord
-            if term == token:
-                name, coeff_source = coord, "1"
-                break
-            if term.endswith("*" + token):
-                name, coeff_source = coord, term[: -len(token) - 1]
-                break
-        if name is None:
-            raise UsageError(
-                f"term {term!r} does not end in a differential of {chart.coords}"
-            )
-        signed = f"-({coeff_source})" if sign < 0 else coeff_source
-        try:
-            expr = chart.parse(signed)
-        except ExprError as exc:
-            raise UsageError(f"bad coefficient in term {term!r}: {exc}") from None
-        if name in coefficients:
-            coefficients[name] = coefficients[name] + expr
-        else:
-            coefficients[name] = expr
+    differentials = tuple("d" + name for name in chart.coords)
+    zero = {name: const(0.0, chart.coords) for name in differentials}
+    try:
+        form = parse(text, chart.coords + differentials)
+        coefficients = {}
+        for name, differential in zip(chart.coords, differentials):
+            coefficient = form.derivative(differential)
+            if set(coefficient.free_coords) & set(differentials):
+                raise UsageError(f"1-form {source!r} is not linear in {differential}")
+            coefficients[name] = coefficient.substitute(zero, chart.coords)
+        if form.substitute(zero, chart.coords).constant_value() != 0.0:
+            raise UsageError(f"1-form {source!r} has a term without a differential")
+    except ExprError as exc:
+        raise UsageError(f"bad 1-form {source!r}: {exc}") from None
     return one_form(chart, coefficients)
 
 
@@ -600,6 +572,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     stream = sys.stdout
+    try:
+        code = _run(args, stream)
+        # Flush inside the try, so that a reader that went away is seen here.
+        stream.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``), which is not a failed
+        # check.  Point stdout at devnull so that the interpreter's own
+        # flush at exit does not raise again (see "Note on SIGPIPE" in the
+        # Python ``signal`` documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args: argparse.Namespace, stream) -> int:
     try:
         config = resolve_config(args)
         if args.command == "verify":

@@ -478,19 +478,6 @@ class _Frame:
             "ni,nij->nj", self.E, s.dX
         )
 
-    def contact_determinant(self) -> tuple[np.ndarray, np.ndarray]:
-        """Determinant of ``D + E E^T`` and its Hadamard row-norm scale.
-
-        The rank-one update fills the one-dimensional kernel of ``D`` with
-        the eta direction, so the determinant is nonzero exactly where the
-        contact condition holds; dividing by the product of row norms makes
-        the threshold resolution-independent.
-        """
-        M = self.D + np.einsum("ni,nj->nij", self.E, self.E)
-        det = np.linalg.det(M)
-        scale = np.prod(np.linalg.norm(M, axis=2), axis=1)
-        return det, scale
-
 
 # -- evaluators -----------------------------------------------------------
 
@@ -621,23 +608,56 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
 # -- operations -----------------------------------------------------------
 
 
+def _determinant_ratio_check(
+    name: str, matrices: np.ndarray, threshold: float, points: np.ndarray
+) -> CheckResult:
+    """Pointwise nondegeneracy of square ``matrices`` (n, d, d).
+
+    The verdict is the Hadamard ratio ``|det M| / prod_i |row_i M|``, which
+    lies in [0, 1] and does not change when ``M`` is scaled, so ``threshold``
+    is the minimum acceptable ratio whatever the size of the entries.  Each
+    matrix is divided by its largest |entry| and the ratio is taken in logs
+    (``slogdet`` minus the summed log row norms), so neither the determinant
+    nor the row-norm product can under- or overflow.
+    """
+    d = matrices.shape[-1]
+    scale = np.max(np.abs(matrices), axis=(1, 2))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    unit = matrices / scale[:, None, None]
+    sign, log_det = np.linalg.slogdet(unit)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_norms = np.sum(np.log(np.linalg.norm(unit, axis=2)), axis=1)
+        ratio = np.where(sign == 0.0, 0.0, np.exp(log_det - log_norms))
+        min_abs_det = float(np.exp(np.min(log_det + d * np.log(scale))))
+    residuals = np.maximum(0.0, threshold - ratio)
+    detail = {
+        "min_abs_determinant": min_abs_det,
+        "min_determinant_ratio": float(np.min(ratio)),
+        "determinant_ratio_threshold": float(threshold),
+    }
+    return _make_result(name, residuals, 0.0, points, detail)
+
+
 def _contact_check(
     system: ContactSystem,
     samples: int,
     seed: int,
     tolerances: Mapping[str, float] | None,
 ) -> CheckResult:
+    """The ratio check on ``D + E E^T / |E|``.
+
+    The rank-one term fills the one-dimensional kernel of ``D`` with the
+    eta direction, so the matrix is nonsingular exactly where the contact
+    condition holds.  Dividing by ``|E|`` makes both terms degree 1 in eta,
+    so the verdict does not depend on the size of eta.
+    """
     pts = system.chart.sample(samples, seed)
-    det, scale = _Frame(system, pts).contact_determinant()
+    fr = _Frame(system, pts)
+    norm = np.linalg.norm(fr.E, axis=1)
+    norm = np.where(norm > 0.0, norm, 1.0)
+    rank_one = np.einsum("ni,nj->nij", fr.E, fr.E) / norm[:, None, None]
     threshold = resolve_tolerance("contact_determinant", tolerances)
-    ratio = np.abs(det) / np.maximum(scale, 1e-300)
-    residuals = np.maximum(0.0, threshold - ratio)
-    detail = {
-        "min_abs_determinant": float(np.min(np.abs(det))),
-        "min_determinant_ratio": float(np.min(ratio)),
-        "determinant_ratio_threshold": float(threshold),
-    }
-    return _make_result("contact_condition", residuals, 0.0, pts, detail)
+    return _determinant_ratio_check("contact_condition", fr.D + rank_one, threshold, pts)
 
 
 def is_contact_form(
@@ -646,8 +666,8 @@ def is_contact_form(
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
-    """Sampled contact-condition check: the scaled volume determinant stays
-    bounded away from zero at every sample."""
+    """Sampled contact-condition check: the Hadamard ratio of ``D + E E^T / |E|``
+    stays above the ``contact_determinant`` threshold at every sample."""
     return _contact_check(system, samples, seed, tolerances)
 
 

@@ -658,7 +658,10 @@ def _pow(a: _Node, k: int) -> _Node:
     if k == 1:
         return a
     if _is_const(a):
-        return _Const(a.v**k)
+        try:
+            return _Const(a.v**k)
+        except (ZeroDivisionError, OverflowError):
+            pass  # evaluation raises EvalDomainError or yields inf, as for a parsed power
     return _Pow(a, k)
 
 

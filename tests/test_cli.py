@@ -1,12 +1,16 @@
 """Command-line interface: parsing, batteries, exit codes, determinism."""
 
+import io
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
 from contactkit.charts import Chart
 from contactkit.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILURE,
     EXIT_GEOMETRY,
     EXIT_OK,
@@ -81,11 +85,25 @@ class TestOneFormParsing:
 
     @pytest.mark.parametrize(
         "source",
-        ["", "y*dx + 3", "dw", "y*", "(y*dx", "x"],
+        ["", "y*dx + 3", "dw", "y*", "(y*dx", "x", "dx*dy", "sin(dx)", "dx/dy"],
     )
     def test_rejects_malformed(self, chart, source):
         with pytest.raises(UsageError):
             parse_one_form(chart, source)
+
+    @pytest.mark.parametrize(
+        "source, slot, value",
+        [
+            ("dz - 1e-5*y*dx", 0, -2e-5),
+            ("1.5e+2*dx + dz", 0, 150.0),
+            ("dz - 2E3*dy", 1, -2000.0),
+        ],
+    )
+    def test_scientific_notation_coefficients(self, chart, source, slot, value):
+        # an exponent sign is part of the number, not a term separator
+        eta = parse_one_form(chart, source)
+        assert eta.coefficient((2,)).constant_value() == 1.0
+        assert eta.coefficient((slot,)).values([[1.0, 2.0, 0.0]])[0] == pytest.approx(value)
 
 
 class TestConfigFile:
@@ -192,6 +210,13 @@ class TestBracketCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0].endswith("= 1")
 
+    def test_scientific_notation_in_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bracket", "x,y,z", "dz - 1e-5*y*dx", "x", "y", "0.1,0.2,0.3"
+        )
+        assert code == EXIT_OK
+        assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(1e5, rel=1e-9)
+
     def test_degenerate_form_exits_geometry(self, capsys):
         code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz", "1", "z", "1,2,3")
         assert code == EXIT_GEOMETRY
@@ -242,6 +267,28 @@ class TestBracketCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+class TestClosedPipe:
+    def test_closed_reader_is_not_a_check_failure(self):
+        argv = ["verify", "darboux(1)", "--format", "records"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "contactkit.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader goes away before the first line
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+        assert err == b""
+
+    def test_in_process_string_stream_unchanged(self, monkeypatch):
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["verify", "darboux(1)", "--samples", "16"]) == EXIT_OK
+        assert stream.getvalue().startswith("model darboux(1)\n")
+        assert stream.getvalue().endswith(" 0 failed\n")
 
 
 class TestVerifyCommand:

@@ -1,12 +1,17 @@
 """Symplectization checks: cone form, Liouville scaling, lifts, induced Hamiltonians."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contactkit.charts import Chart, basis_field, one_form, vector_field
+from contactkit.charts import Chart, DifferentialForm, basis_field, one_form, vector_field
 from contactkit.cone import (
     ConeSystem,
     ContactTransformationError,
+    _closure_excess,
     build_cone,
     closure_check,
     commuting_lift_check,
@@ -18,8 +23,9 @@ from contactkit.cone import (
     reeb_rate,
     scale_covariance_check,
 )
-from contactkit.contact import TOLERANCES, ContactConditionError, ContactSystem
+from contactkit.contact import TOLERANCES, ContactConditionError, ContactSystem, is_contact_form
 from contactkit.expressions import coord, parse, random_polynomial
+from contactkit.models import build_model
 
 SEED = 20110615
 
@@ -123,6 +129,84 @@ class TestBuildCone:
     def test_bad_radial_bounds(self):
         with pytest.raises(ValueError, match="radial bounds"):
             build_cone(darboux3(), radial_bounds=(0.0, 10.0))
+
+
+class TestClosureRoundingFloor:
+    """``cone_closure`` on ``cosphere_torus(2)``, where the partials summed by
+    ``d(omega)`` reach 1e8 near ``p1^2 + p2^2 = 1`` and cancel exactly."""
+
+    @staticmethod
+    def cone():
+        return build_cone(build_model("cosphere_torus(2)").system, verify=False)
+
+    @pytest.mark.parametrize(
+        "seed, samples",
+        [(20110615, 4096), (1, 4096), (2, 4096), (303, 4096), (205, 128)],
+    )
+    def test_rounding_does_not_fail(self, seed, samples):
+        # each of these failed on rounding alone against the absolute 1e-10
+        check = closure_check(self.cone(), samples=samples, seed=seed)
+        assert check.passed
+        assert check.tolerance == 1e-10
+        assert 0.0 < check.detail["max_rounding_floor"] < 1e-6
+
+    def test_defect_fails_at_every_point(self):
+        # d(1e-6 r dx0^dp1) = 1e-6 dx0^dp1^dr; a function of r alone added to
+        # an (., r) coefficient would leave the form closed
+        cone = self.cone()
+        slot = (cone.cone_chart.index("x0"), cone.cone_chart.index("p1"))
+        defect = DifferentialForm(cone.cone_chart, 2, {slot: 1e-6 * cone.radial_coordinate()})
+        broken = replace(cone, omega=cone.omega + defect)
+        pts = cone.cone_chart.sample(4096, SEED)
+        excess, _ = _closure_excess(broken.omega, pts)
+        assert np.all(excess > TOLERANCES["cone_closure"])
+        assert not closure_check(broken, samples=4096, seed=SEED).passed
+
+
+def darboux_scaled(c: float) -> ContactSystem:
+    chart = Chart("darboux3", ("x", "y", "z"))
+    return ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y"}).scaled(c))
+
+
+def cosphere2_scaled(c: float) -> ContactSystem:
+    base = cosphere2()
+    return ContactSystem(base.chart, base.eta.scaled(c))
+
+
+def degenerate_scaled(c: float) -> ContactSystem:
+    chart = Chart("flat3", ("x", "y", "z"))
+    return ContactSystem(chart, one_form(chart, {"z": c}), verify=False)
+
+
+class TestScaleFreeVerdicts:
+    """Both determinant-ratio verdicts are invariant under eta -> c eta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e))
+    @example(1e-150)
+    @example(1e150)
+    def test_invariant_under_scaling(self, c):
+        for model in (darboux_scaled, cosphere2_scaled, degenerate_scaled):
+            plain, scaled = model(1.0), model(c)
+            for check in (
+                lambda s: is_contact_form(s, samples=32, seed=SEED),
+                lambda s: nondegeneracy_check(build_cone(s, verify=False), samples=32, seed=SEED),
+            ):
+                ref, got = check(plain), check(scaled)
+                assert got.passed == ref.passed
+                assert got.detail["min_determinant_ratio"] == pytest.approx(
+                    ref.detail["min_determinant_ratio"], rel=1e-9
+                )
+
+    def test_large_form_constructs(self):
+        chart = Chart("darboux3", ("x", "y", "z"))
+        ContactSystem(chart, one_form(chart, {"z": 1e10, "x": "-1e10*y"}))
+
+    def test_cone_over_tiny_form_is_nondegenerate(self):
+        cone = build_cone(darboux_scaled(1e-100))
+        check = nondegeneracy_check(cone, samples=128, seed=SEED)
+        assert check.passed
+        assert check.detail["min_determinant_ratio"] > 1e-3
 
 
 # -- homogeneity and scale covariance --------------------------------------

@@ -85,10 +85,15 @@ def all_models():
 
 class TestContactCondition:
     def test_darboux_passes_with_unit_determinant(self):
-        result = is_contact_form(darboux3(), samples=128, seed=SEED)
+        # For eta = dz - y dx, det(D + E E^T / |E|) = 1 / sqrt(1 + y^2): the
+        # determinant of D + E E^T, which is 1, divided by |E|.
+        system = darboux3()
+        result = is_contact_form(system, samples=128, seed=SEED)
         assert result.passed
         assert result.samples == 128
-        assert abs(result.detail["min_abs_determinant"] - 1.0) < 1e-12
+        y = system.chart.sample(128, SEED)[:, 1]
+        expected = float(np.min(1.0 / np.sqrt(1.0 + y**2)))
+        assert abs(result.detail["min_abs_determinant"] - expected) < 1e-12
 
     def test_degenerate_form_fails_with_witness(self):
         result = is_contact_form(degenerate3(), samples=64, seed=SEED)

@@ -156,6 +156,26 @@ def test_jet_unit_powers_away_from_zero_unchanged(k):
     assert h.tobytes() == expected_h.tobytes()
 
 
+def test_constant_power_with_no_float_value_evaluates_like_parsed():
+    # 0^-1 and 1e200^2 have no finite float value: construction must not
+    # raise, and evaluation must match the parsed powers
+    pts = np.array([[1.0, 2.0, 3.0]])
+    with pytest.raises(EvalDomainError, match="negative power"):
+        (const(0.0, XYZ) ** -1).values(pts)
+    with pytest.raises(EvalDomainError, match="negative power"):
+        parse("0^-1", XYZ).values(pts)
+    with np.errstate(over="ignore"):
+        built = (const(1e200, XYZ) ** 2).values(pts)
+        parsed = parse("1e200^2", XYZ).values(pts)
+    assert np.isposinf(built[0]) and np.isposinf(parsed[0])
+
+
+def test_constant_power_with_float_value_still_folds():
+    cube = const(2.0, XYZ) ** 3
+    assert cube.constant_value() == 8.0
+    assert cube.node_counts() == (1, 1)
+
+
 def test_jet_sin_exp_golden():
     e = parse("sin(x)*exp(y)", ("x", "y"))
     jet = e.eval_jet2((0.0, 0.0))
