@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Mapping, Sequence
@@ -407,6 +408,8 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
         return EXIT_GEOMETRY
     except ExprError as exc:
         raise UsageError(f"eta is undefined at ({point_text}): {exc}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{{f, g}} is not finite at ({point_text})")
     if config.output == "text":
         stream.write(f"{{f, g}}({point_text}) = {value:.12g}\n")
         for tag in sorted(residuals):
@@ -452,7 +455,7 @@ def cmd_ypq(args: argparse.Namespace, config: RunConfig, stream) -> int:
                         "kind": "ypq_class",
                         "p": p,
                         "class_size": len(members),
-                        "members": [[r.params.p, r.params.q] for r in members],
+                        "members": [[m.p, m.q] for m in members],
                     },
                 )
         return EXIT_OK

@@ -447,6 +447,7 @@ def commuting_lift_check(
     max_rank, rank_fraction = _pointwise_rank(
         np.stack([f.evaluate(pts) for f in lifted], axis=2),
         resolve_tolerance("rank_svd", tolerances),
+        pts,
     )
     detail = {
         "fields": len(lifted),

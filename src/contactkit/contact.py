@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
-from .expressions import ScalarExpr, _values_of, const, parse
+from .expressions import EvalDomainError, ScalarExpr, _values_of, const, parse
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -311,6 +311,21 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _require_finite(what: str, points: np.ndarray, *arrays: np.ndarray) -> None:
+    """Raise :class:`EvalDomainError` at the first point where an entry of
+    ``arrays`` (each indexed by point first) is ``inf`` or ``nan``.
+
+    The batched SVD does not return on a matrix holding ``inf``, so every
+    array handed to it passes through here first.
+    """
+    bad = np.zeros(len(points), dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a.reshape(len(points), -1)).all(axis=1)
+    if np.any(bad):
+        point = ", ".join(f"{v:g}" for v in points[int(np.argmax(bad))])
+        raise EvalDomainError(f"{what} is not finite at ({point})")
+
+
 class _Geometry:
     """The expression-independent data of one system at one set of points.
 
@@ -336,6 +351,7 @@ class _Geometry:
             dE[:, :, k] = g
             d2E[:, :, :, k] = h
         D = dE - np.swapaxes(dE, 1, 2)
+        _require_finite("eta or d(eta)", pts, E, D)
         dD = d2E - np.swapaxes(d2E, 2, 3)
         self.system = system
         self.key = key
@@ -789,13 +805,14 @@ def independence_rank(
     rel = resolve_tolerance("rank_svd", tolerances)
     pts = system.chart.sample(samples, seed)
     fr = _Frame(system, pts)
-    return _pointwise_rank(np.stack([fr.solved(f).X for f in fns], axis=2), rel)
+    return _pointwise_rank(np.stack([fr.solved(f).X for f in fns], axis=2), rel, pts)
 
 
-def _pointwise_rank(columns: np.ndarray, rel: float) -> tuple[int, float]:
+def _pointwise_rank(columns: np.ndarray, rel: float, points: np.ndarray) -> tuple[int, float]:
     """Max over points of the numerical rank of ``columns[n]`` (singular
     values above ``rel`` times the largest) and the fraction of points
     attaining it."""
+    _require_finite("a field", points, columns)
     svals = np.linalg.svd(columns, compute_uv=False)
     ranks = np.sum(svals > rel * svals[:, :1], axis=1)
     max_rank = int(ranks.max())
@@ -863,7 +880,7 @@ def classify_system(
             involution_residual = max(
                 involution_residual, float(np.max(np.abs(fr.bracket(si, sj))))
             )
-    max_rank, rank_fraction = _pointwise_rank(np.stack([s.X for s in sols], axis=2), rel)
+    max_rank, rank_fraction = _pointwise_rank(np.stack([s.X for s in sols], axis=2), rel, pts)
 
     goodness_residuals = [float(np.max(np.abs(s.a))) for s in sols]
     lie_residuals = [float(np.max(np.abs(fr.lie_eta(s)))) for s in sols]

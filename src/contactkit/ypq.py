@@ -601,14 +601,25 @@ def ypq_report(params: YpqParams) -> YpqReport:
     )
 
 
-def enumerate_structures(p_max: int) -> dict[int, list[YpqReport]]:
-    """Dossiers of every free member with ``p <= p_max``, grouped by the
-    equivalence class ``p``; each class has exactly ``totient(p)`` members."""
+def enumerate_structures(p_max: int) -> dict[int, list[YpqParams]]:
+    """Every free member with ``p <= p_max``, grouped by the equivalence
+    class ``p``.
+
+    Each class must have exactly ``totient(p)`` members; the count is
+    re-verified for every class.  The dossier of one member is
+    ``ypq_report(member)``.
+    """
     if p_max < 2:
         raise InvalidToricParameterError("enumeration needs p_max >= 2")
-    out: dict[int, list[YpqReport]] = {}
+    out: dict[int, list[YpqParams]] = {}
     for params in coprime_pairs(p_max):
-        out.setdefault(params.p, []).append(ypq_report(params))
+        out.setdefault(params.p, []).append(params)
+    for p, members in out.items():
+        phi = totient(p)
+        if len(members) != phi:
+            raise ArithmeticError(
+                f"class p = {p} has {len(members)} members, totient(p) = {phi}"
+            )
     return out
 
 
@@ -649,14 +660,14 @@ def format_dossier(report: YpqReport) -> str:
     return "\n".join(lines)
 
 
-def format_class_table(classes: dict[int, list[YpqReport]]) -> str:
+def format_class_table(classes: dict[int, list[YpqParams]]) -> str:
     """Aligned class table: one line per equivalence class."""
     lines = []
     width = len(str(max(classes))) if classes else 1
     size_width = max(len(str(len(members))) for members in classes.values())
     for p in sorted(classes):
         members = classes[p]
-        pairs = " ".join(f"({r.params.p},{r.params.q})" for r in members)
+        pairs = " ".join(f"({m.p},{m.q})" for m in members)
         lines.append(
             f"p = {str(p).rjust(width)}  class size {str(len(members)).rjust(size_width)}  {pairs}"
         )

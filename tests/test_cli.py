@@ -1,7 +1,9 @@
 """Command-line interface: parsing, batteries, exit codes, determinism."""
 
+import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -252,6 +254,33 @@ class TestBracketCommand:
         assert code == EXIT_USAGE
         assert "eta is undefined at (-1, 2, 3): sqrt of negative value" in err
 
+    def test_form_overflowing_at_point_exits_usage(self):
+        # eta's value overflows to -inf at y = 1e200; the SVD of a matrix
+        # holding inf never returns, so this once ran until killed.
+        argv = ["bracket", "x,y,z", "dz - y^2*dx", "x", "y", "0.1,1e200,0.3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "contactkit.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert "error: eta is undefined at (0.1, 1e+200, 0.3): " in proc.stderr
+        assert "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("output", ["text", "records"])
+    def test_non_finite_bracket_exits_usage(self, capsys, output):
+        code, out, err = run_cli(
+            capsys, "bracket", "x,y,z", "dz - y*dx", "1e300*x", "1e300*y", "0.1,0.2,0.3",
+            "--format", output,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "{f, g} is not finite at (0.1, 0.2, 0.3)" in err
+        assert "nan" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -420,6 +449,57 @@ class TestYpqCommand:
         assert [r["p"] for r in records] == [2, 3, 4, 5, 6]
         assert records[4]["members"] == [[6, 1], [6, 5]]
         assert all(r["class_size"] == len(r["members"]) for r in records)
+
+    @staticmethod
+    def _gcd_classes(p_max):
+        return {
+            p: [q for q in range(1, p) if math.gcd(p, q) == 1] for p in range(2, p_max + 1)
+        }
+
+    @staticmethod
+    def _digest(out):
+        return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+    # The P = 1000 digests are those of the output when each member's full
+    # dossier was still built during enumeration.
+    @pytest.mark.parametrize(
+        "p_max, digest", [(50, None), (400, None), (1000, "b01df615c79d40d1")]
+    )
+    def test_enumerate_text_matches_gcd_table(self, capsys, p_max, digest):
+        classes = self._gcd_classes(p_max)
+        width = len(str(p_max))
+        size_width = max(len(str(len(qs))) for qs in classes.values())
+        expected = "".join(
+            f"p = {str(p).rjust(width)}  class size {str(len(qs)).rjust(size_width)}  "
+            + " ".join(f"({p},{q})" for q in qs)
+            + "\n"
+            for p, qs in classes.items()
+        )
+        code, out, _ = run_cli(capsys, "ypq", "--enumerate", str(p_max))
+        assert code == EXIT_OK
+        assert out == expected
+        assert digest is None or self._digest(out) == digest
+
+    @pytest.mark.parametrize(
+        "p_max, digest", [(50, None), (400, None), (1000, "e94bc4b67a14c976")]
+    )
+    def test_enumerate_records_match_gcd_table(self, capsys, p_max, digest):
+        expected = "".join(
+            json.dumps(
+                {
+                    "class_size": len(qs),
+                    "kind": "ypq_class",
+                    "members": [[p, q] for q in qs],
+                    "p": p,
+                }
+            )
+            + "\n"
+            for p, qs in self._gcd_classes(p_max).items()
+        )
+        code, out, _ = run_cli(capsys, "ypq", "--enumerate", str(p_max), "--format", "records")
+        assert code == EXIT_OK
+        assert out == expected
+        assert digest is None or self._digest(out) == digest
 
     def test_enumerate_bad_bound_exits_toric(self, capsys):
         code, out, _ = run_cli(capsys, "ypq", "--enumerate", "1")

@@ -34,7 +34,7 @@ from contactkit.contact import (
     reeb_field,
     verify_flow_identity,
 )
-from contactkit.expressions import ScalarExpr, const, parse, random_polynomial
+from contactkit.expressions import EvalDomainError, ScalarExpr, const, parse, random_polynomial
 
 SEED = 20110615
 
@@ -113,6 +113,31 @@ class TestContactCondition:
         chart = Chart("plane", ("x", "y"))
         with pytest.raises(ValueError, match="odd"):
             ContactSystem(chart, one_form(chart, {"x": 1.0}), verify=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteInput:
+    """An inf or nan reaching the batched SVD would hang it; these raise."""
+
+    def test_overflowing_eta_raises_at_the_point(self):
+        chart = Chart("c3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y^2"}))
+        point = (0.1, 1e200, 0.3)
+        with pytest.raises(EvalDomainError, match=r"not finite at \(0\.1, 1e\+200, 0\.3\)"):
+            hamiltonian_field(system, chart.parse("x")).evaluate(point)
+        with pytest.raises(EvalDomainError):
+            jacobi_bracket(system, chart.parse("x"), chart.parse("y")).at(point)
+        assert contact_module._shared is None  # no half-built geometry is kept
+
+    def test_nan_eta_is_not_reported_as_degenerate(self):
+        chart = Chart("c3", ("x", "y", "z"))
+        with pytest.raises(EvalDomainError, match="eta or d\\(eta\\) is not finite"):
+            ContactSystem(chart, one_form(chart, {"z": 1.0, "x": float("nan")}))
+
+    def test_infinite_field_rejected_before_rank(self):
+        h = const(float("inf"), darboux3().chart.coords)
+        with pytest.raises(EvalDomainError, match="a field is not finite"):
+            independence_rank(darboux3(), [h], samples=8, seed=SEED)
 
 
 # -- Reeb field -----------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from contactkit import ypq as ypq_module
 from contactkit.ypq import (
     InvalidToricParameterError,
     LevelSetSample,
@@ -324,9 +325,35 @@ class TestEnumeration:
         classes = enumerate_structures(6)
         assert sorted(classes) == [2, 3, 4, 5, 6]
         assert [len(classes[p]) for p in sorted(classes)] == [1, 2, 2, 4, 2]
-        assert [r.params.q for r in classes[6]] == [1, 5]
+        assert [r.q for r in classes[6]] == [1, 5]
         for p, members in classes.items():
             assert len(members) == totient(p)
+
+    def test_enumerate_builds_no_dossiers(self, monkeypatch):
+        totient_calls = []
+        real_totient = ypq_module.totient
+
+        def counted_totient(m):
+            totient_calls.append(m)
+            return real_totient(m)
+
+        def no_report(params):
+            raise AssertionError("enumeration built a dossier")
+
+        monkeypatch.setattr(ypq_module, "totient", counted_totient)
+        monkeypatch.setattr(ypq_module, "ypq_report", no_report)
+        classes = enumerate_structures(60)
+        assert sorted(totient_calls) == list(range(2, 61))
+        assert all(type(m) is YpqParams for members in classes.values() for m in members)
+
+    def test_enumerate_rejects_wrong_class_size(self, monkeypatch):
+        real_totient = ypq_module.totient
+        monkeypatch.setattr(
+            ypq_module, "totient", lambda m: real_totient(m) + 1 if m == 12 else real_totient(m)
+        )
+        with pytest.raises(ArithmeticError, match=r"p = 12 has 4 members, totient\(p\) = 5"):
+            enumerate_structures(20)
+        enumerate_structures(11)
 
     def test_enumerate_rejects_trivial_bound(self):
         with pytest.raises(InvalidToricParameterError):
