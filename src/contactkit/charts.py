@@ -68,7 +68,9 @@ class Chart:
     ``log_coords`` are drawn log-uniformly (for radial cone coordinates).
     ``domain`` is an optional expression that must be strictly positive at
     valid points; the sampler rejects offending draws, so sampled points
-    always satisfy it.
+    always satisfy it.  Each ``(count, seed)`` is drawn once and kept on the
+    chart (see :meth:`sample`); the kept points take no part in equality or
+    hashing.
     """
 
     name: str
@@ -77,6 +79,9 @@ class Chart:
     domain: ScalarExpr | None = None
     log_coords: frozenset[str] = frozenset()
     sampler: Callable[[int, int], np.ndarray] | None = None
+    _samples: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.coords:
@@ -98,13 +103,26 @@ class Chart:
     def sample(self, count: int, seed: int) -> np.ndarray:
         """``count`` valid points, deterministically from ``seed``.
 
-        Raises :class:`SamplingError` for a count below 1, since every
+        The points are drawn on the first call for a ``(count, seed)`` and
+        kept on the chart: every later call returns the same read-only
+        array, so copy it before changing it.  A custom ``sampler``'s
+        output is copied before it is kept, so its own array stays as it
+        was.  Raises :class:`SamplingError` for a count below 1, since every
         sampled check needs at least one point.
         """
         if count < 1:
             raise SamplingError(f"chart {self.name!r}: sample count must be positive, got {count}")
+        pts = self._samples.get((count, seed))
+        if pts is None:
+            pts = self._sampled(count, seed)
+            pts.flags.writeable = False
+            self._samples[(count, seed)] = pts
+        return pts
+
+    def _sampled(self, count: int, seed: int) -> np.ndarray:
+        """A fresh array of ``count`` valid points that owns its data."""
         if self.sampler is not None:
-            pts = np.asarray(self.sampler(count, seed), dtype=float)
+            pts = np.array(self.sampler(count, seed), dtype=float)
             if pts.shape != (count, self.dim):
                 raise SamplingError(
                     f"custom sampler returned shape {pts.shape}, "
@@ -128,7 +146,7 @@ class Chart:
             raise SamplingError(
                 f"chart {self.name!r}: domain predicate rejected too many draws"
             )
-        return np.concatenate(out)[:count]
+        return np.concatenate(out)[:count].copy()
 
     def _draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         cols = []

@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -286,7 +287,15 @@ def _check_line(label: str, result: CheckResult) -> str:
 
 
 def _emit_record(stream, record: dict) -> None:
-    stream.write(json.dumps(record, sort_keys=True) + "\n")
+    """One JSON line.  ``inf`` and ``nan`` have no JSON form, so a record
+    holding one is refused instead of printed as ``Infinity`` or ``NaN``."""
+    try:
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise UsageError(
+            f"{record['kind']} record holds a non-finite number, which JSON cannot carry"
+        ) from None
+    stream.write(line + "\n")
 
 
 # -- verify ----------------------------------------------------------------
@@ -304,8 +313,10 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
     """
     overrides = config.overrides
     samples, seed = config.samples, config.seed
-    entries = [(fact.name, fact.run(samples, seed)) for fact in model.expected]
+    # Held for the whole battery, so the facts that build the same cone
+    # (example_3_10's lifts, scale covariance) reuse it with its lifts.
     cone = build_cone(model.system, verify=False)
+    entries = [(fact.name, fact.run(samples, seed)) for fact in model.expected]
     entries.append(("cone_closure", closure_check(cone, samples, seed, overrides)))
     entries.append(("cone_nondegeneracy", nondegeneracy_check(cone, samples, seed, overrides)))
     entries.append(("cone_homogeneity", homogeneity_check(cone, samples, seed, overrides)))
@@ -344,12 +355,15 @@ def cmd_verify(model_keys: Sequence[str], config: RunConfig, stream) -> int:
             if item not in requested:
                 requested.append(item)
     try:
-        selected = [build_model(key) for key in requested]
+        selected = deque(build_model(key) for key in requested)
     except ValueError as exc:
         stream.write(f"error: {exc}\n")
         return EXIT_USAGE
     total = failed = 0
-    for model in selected:
+    # A model keeps its sampled points and its cones, so each one is let go
+    # once its lines are written.
+    while selected:
+        model = selected.popleft()
         entries = model_battery(model, config)
         total += len(entries)
         failed += sum(1 for _, result in entries if not result.passed)

@@ -23,7 +23,7 @@ and large cone radii are exercised.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +97,9 @@ class ConeSystem:
     ``cone_chart`` extends the base chart by the radial coordinate (always the
     last coordinate, drawn log-uniformly when sampling); ``eta`` is the base
     contact form re-indexed onto the cone chart, ``omega = d(r^2 eta)`` the
-    symplectic form, and ``liouville`` the field ``r d/dr``.
+    symplectic form, and ``liouville`` the field ``r d/dr``.  The lifted
+    fields of :func:`lift` are kept on the cone (see :func:`_lifted`); they
+    take no part in equality or hashing.
     """
 
     base: ContactSystem
@@ -105,6 +107,7 @@ class ConeSystem:
     eta: DifferentialForm
     omega: DifferentialForm
     liouville: VectorField
+    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def radial(self) -> str:
@@ -138,7 +141,10 @@ def build_cone(
 ) -> ConeSystem:
     """Symplectize ``system``.
 
-    With ``verify`` (the default) the construction checks that ``omega`` is
+    The cone is built once per radial bounds and kept on ``system`` while
+    any caller holds it, so those calls return the same :class:`ConeSystem`
+    and share its lifts.
+    With ``verify`` (the default) each call checks that ``omega`` is
     closed and nondegenerate on a seeded sample and raises
     :class:`ContactConditionError` otherwise -- a degenerate base form shows
     up here as a degenerate cone form.
@@ -149,6 +155,24 @@ def build_cone(
     lo, hi = radial_bounds
     if not 0.0 < lo < hi:
         raise ValueError("radial bounds must satisfy 0 < lo < hi")
+    cone = system._cones.get((lo, hi))
+    if cone is None:
+        cone = system._cones[(lo, hi)] = _symplectization(system, lo, hi)
+    if verify:
+        for check in (
+            closure_check(cone, samples=samples, seed=seed, tolerances=tolerances),
+            nondegeneracy_check(cone, samples=samples, seed=seed, tolerances=tolerances),
+        ):
+            if not check.passed:
+                raise ContactConditionError(
+                    f"cone over chart {chart.name!r} is not symplectic: "
+                    f"{check.name} residual {check.max_residual:.3e} at {check.witness}"
+                )
+    return cone
+
+
+def _symplectization(system: ContactSystem, lo: float, hi: float) -> ConeSystem:
+    chart = system.chart
     coords = chart.coords + (RADIAL,)
     cone_chart = Chart(
         name=f"cone({chart.name})" if chart.name else "cone",
@@ -165,24 +189,13 @@ def build_cone(
     r_squared = coord(RADIAL, coords) ** 2
     omega = exterior_derivative(eta.scaled(r_squared))
     liouville = vector_field(cone_chart, {RADIAL: RADIAL})
-    cone = ConeSystem(
+    return ConeSystem(
         base=system,
         cone_chart=cone_chart,
         eta=eta,
         omega=omega,
         liouville=liouville,
     )
-    if verify:
-        for check in (
-            closure_check(cone, samples=samples, seed=seed, tolerances=tolerances),
-            nondegeneracy_check(cone, samples=samples, seed=seed, tolerances=tolerances),
-        ):
-            if not check.passed:
-                raise ContactConditionError(
-                    f"cone over chart {chart.name!r} is not symplectic: "
-                    f"{check.name} residual {check.max_residual:.3e} at {check.witness}"
-                )
-    return cone
 
 
 def closure_check(
@@ -338,22 +351,12 @@ def lift(
         lift(X) = X - (a / 2) r d/dr.
 
     With ``verify`` the lifted field is additionally checked to preserve
-    ``omega`` and to commute with the Liouville field.
+    ``omega`` and to commute with the Liouville field.  The lifted field is
+    kept on ``cone``, so a second call with the same pair, samples, seed
+    and ``lift_precondition`` tolerance does not check the precondition
+    again.
     """
-    base = cone.base
-    rate = reeb_rate(base, hamiltonian)
-    pts = base.chart.sample(samples, seed)
-    defect = lie_derivative(field, base.eta) - base.eta.scaled(rate)
-    residuals = defect.max_abs(pts)
-    tol = resolve_tolerance("lift_precondition", tolerances)
-    worst = int(np.argmax(residuals))
-    if residuals[worst] > tol:
-        raise ContactTransformationError(
-            "field is not an infinitesimal contact transformation: "
-            f"max |L_X eta - a eta| = {float(residuals[worst]):.3e} > {tol:g} "
-            f"at {tuple(float(c) for c in pts[worst])}"
-        )
-    lifted = cone.extend(field) - cone.liouville.scaled(cone.to_cone(rate) * 0.5)
+    lifted = _lifted(cone, field, hamiltonian, samples, seed, tolerances)
     if verify:
         for check in lift_checks(cone, lifted, samples=samples, seed=seed, tolerances=tolerances):
             if not check.passed:
@@ -361,6 +364,39 @@ def lift(
                     f"lifted field fails {check.name}: "
                     f"residual {check.max_residual:.3e} at {check.witness}"
                 )
+    return lifted
+
+
+def _lifted(
+    cone: ConeSystem,
+    field: VectorField,
+    hamiltonian: ScalarExpr,
+    samples: int,
+    seed: int,
+    tolerances: Mapping[str, float] | None,
+) -> VectorField:
+    """The lift of ``field`` once its precondition has held on ``samples``
+    base points; kept on ``cone`` per (pair, samples, seed, tolerance)."""
+    tol = resolve_tolerance("lift_precondition", tolerances)
+    key = (field, hamiltonian, samples, seed, tol)
+    lifted = cone._lifts.get(key)
+    if lifted is not None:
+        return lifted
+    base = cone.base
+    rate = reeb_rate(base, hamiltonian)
+    pts = base.chart.sample(samples, seed)
+    defect = lie_derivative(field, base.eta) - base.eta.scaled(rate)
+    residuals = defect.max_abs(pts)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > tol:
+        raise ContactTransformationError(
+            "field is not an infinitesimal contact transformation: "
+            f"max |L_X eta - a eta| = {float(residuals[worst]):.3e} > {tol:g} "
+            f"at {tuple(float(c) for c in pts[worst])}"
+        )
+    lifted = cone._lifts[key] = cone.extend(field) - cone.liouville.scaled(
+        cone.to_cone(rate) * 0.5
+    )
     return lifted
 
 
@@ -403,9 +439,7 @@ def cone_hamiltonian(
     that the lifted field contracted into ``omega`` equals ``-dH`` at seeded
     cone samples.
     """
-    lifted = lift(
-        cone, field, hamiltonian, samples=samples, seed=seed, tolerances=tolerances, verify=False
-    )
+    lifted = _lifted(cone, field, hamiltonian, samples, seed, tolerances)
     induced = cone.radial_coordinate() ** 2 * cone.to_cone(hamiltonian)
     defect = interior_product(lifted, cone.omega) + exterior_derivative(
         zero_form(cone.cone_chart, induced)
@@ -434,10 +468,7 @@ def commuting_lift_check(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("commuting lift check needs at least one (field, hamiltonian) pair")
-    lifted = [
-        lift(cone, X, h, samples=samples, seed=seed, tolerances=tolerances, verify=False)
-        for X, h in pairs
-    ]
+    lifted = [_lifted(cone, X, h, samples, seed, tolerances) for X, h in pairs]
     pts = cone.cone_chart.sample(samples, seed)
     residuals = np.zeros(len(pts))
     for i in range(len(lifted)):

@@ -19,6 +19,8 @@ defining equations.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -243,6 +245,13 @@ class ContactSystem:
     a small construction-time sample and raises :class:`ContactConditionError`
     on failure.  Pass ``verify=False`` to build a deliberately degenerate
     system, e.g. to demonstrate a failing :func:`is_contact_form`.
+
+    The cones that :func:`contactkit.cone.build_cone` builds over the system
+    are kept on it, one per radial bounds, for as long as a caller holds
+    them: a cone refers back to its system, so a strong reference would make
+    a cycle that only the cyclic garbage collector frees, and a dropped
+    model's sampled points would outlive it.  They take no part in equality
+    or hashing.
     """
 
     chart: Chart
@@ -252,6 +261,9 @@ class ContactSystem:
     reeb: VectorField | None = None
     name: str = ""
     verify: InitVar[bool] = True
+    _cones: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, verify: bool):
         if self.chart.dim % 2 == 0:
@@ -340,7 +352,7 @@ class _Geometry:
     assigned, so threads sharing a geometry at worst repeat that work.
     """
 
-    def __init__(self, system: ContactSystem, pts: np.ndarray, key: bytes) -> None:
+    def __init__(self, system: ContactSystem, pts: np.ndarray) -> None:
         n, d = pts.shape
         E = np.zeros((n, d))
         dE = np.zeros((n, d, d))
@@ -353,9 +365,13 @@ class _Geometry:
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
         dD = d2E - np.swapaxes(d2E, 2, 3)
+        del d2E  # with dA the largest arrays here: free one before building the other
         self.system = system
-        self.key = key
-        self.points = pts.copy()
+        self.key = pts.tobytes()
+        # A read-only array that owns its data, such as a chart's kept
+        # sample, cannot change under the geometry, so it is kept as it is.
+        unchanging = not pts.flags.writeable and pts.flags.owndata
+        self.points = pts if unchanging else pts.copy()
         self.E = E
         self.dE = dE
         self.D = D
@@ -384,9 +400,13 @@ class _Geometry:
             self._solver = (P, S)
         return self._solver
 
+    @np.errstate(all="ignore")
     def solve_linear(self, h, dh, d2h, a, da):
         """The field ``X`` with right-hand side ``(h, a eta - dh)`` and its
-        Jacobian ``dX``, from ``A dX = db - (dA) X``."""
+        Jacobian ``dX``, from ``A dX = db - (dA) X``.
+
+        An overflow gives ``inf`` or ``nan`` entries without a numpy
+        warning; callers that report a value check it is finite."""
         P = self.solver()[0]
         n, d = self.points.shape
         b = np.concatenate([h[:, None], a[:, None] * self.E - dh], axis=1)
@@ -417,28 +437,34 @@ class _Geometry:
 #: The geometry of the most recent (system, points).  One slot rather than
 #: one per system: a battery runs all its checks on one system and one
 #: sample set before moving on, and a slot per system would keep the
-#: geometry of every live system (``verify all`` holds nine) in memory.
+#: geometry of every live system (``verify all`` builds nine) in memory.
 _shared: _Geometry | None = None
 
 
 def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
+    """The slot's geometry if it is on ``system`` at the same points (the
+    same array, or equal bytes), else a new one that replaces it."""
     global _shared
-    key = pts.tobytes()
     geometry = _shared
-    if geometry is None or geometry.system is not system or geometry.key != key:
+    if (
+        geometry is None
+        or geometry.system is not system
+        or (geometry.points is not pts and geometry.key != pts.tobytes())
+    ):
         _shared = None  # let the old geometry go before building the new one
-        geometry = _shared = _Geometry(system, pts, key)
+        geometry = _shared = _Geometry(system, pts)
     return geometry
 
 
 class _Frame:
     """One call's view of (system, points): the shared geometry plus a
     per-call cache of solved expressions, dropped with the frame, so the
-    shared slot never holds user expressions."""
+    shared slot never holds user expressions.  With ``shared=False`` the
+    geometry is built for this frame alone and the slot is left as it is."""
 
-    def __init__(self, system: ContactSystem, points) -> None:
+    def __init__(self, system: ContactSystem, points, shared: bool = True) -> None:
         pts, _ = _as_batch(points, system.chart.dim)
-        geometry = _shared_geometry(system, pts)
+        geometry = _shared_geometry(system, pts) if shared else _Geometry(system, pts)
         self.geometry = geometry
         self.system = system
         self.points = geometry.points
@@ -449,6 +475,7 @@ class _Frame:
 
     # -- solved fields ----------------------------------------------------
 
+    @np.errstate(all="ignore")  # as in solve_linear
     def solved(self, expr: ScalarExpr) -> _Solved:
         hit = self._cache.get(id(expr))
         if hit is not None:
@@ -568,8 +595,11 @@ class ScalarEvaluator:
         return self.evaluate(points)
 
     def at(self, point) -> float:
-        value = self.evaluate(np.asarray(point, dtype=float).reshape(-1))
-        return float(value)
+        """The value at one point.  Sharing a one-point geometry saves
+        nothing, so it is built apart and the slot keeps the geometry of the
+        batch checks around the call."""
+        pts, _ = _as_batch(np.asarray(point, dtype=float).reshape(-1), self.system.chart.dim)
+        return float(self._compute(_Frame(self.system, pts, shared=False))[0])
 
 
 class IsotropyDefectEvaluator(ScalarEvaluator):
@@ -635,6 +665,11 @@ def _determinant_ratio_check(
     matrix is divided by its largest |entry| and the ratio is taken in logs
     (``slogdet`` minus the summed log row norms), so neither the determinant
     nor the row-norm product can under- or overflow.
+
+    ``detail`` records the smallest ``|det M|`` as ``min_abs_determinant``,
+    or, where that number over- or underflows a float (``1e150 * (dz - y
+    dx)`` has ``|det| = 1e450``), its natural log as
+    ``min_log_abs_determinant``, so that every recorded value is finite.
     """
     d = matrices.shape[-1]
     scale = np.max(np.abs(matrices), axis=(1, 2))
@@ -644,13 +679,15 @@ def _determinant_ratio_check(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_norms = np.sum(np.log(np.linalg.norm(unit, axis=2)), axis=1)
         ratio = np.where(sign == 0.0, 0.0, np.exp(log_det - log_norms))
-        min_abs_det = float(np.exp(np.min(log_det + d * np.log(scale))))
+        log_min_abs_det = float(np.min(log_det + d * np.log(scale)))
+        min_abs_det = float(np.exp(log_min_abs_det))
     residuals = np.maximum(0.0, threshold - ratio)
-    detail = {
-        "min_abs_determinant": min_abs_det,
-        "min_determinant_ratio": float(np.min(ratio)),
-        "determinant_ratio_threshold": float(threshold),
-    }
+    if math.isinf(min_abs_det) or (min_abs_det == 0.0 and math.isfinite(log_min_abs_det)):
+        detail = {"min_log_abs_determinant": log_min_abs_det}
+    else:
+        detail = {"min_abs_determinant": min_abs_det}
+    detail["min_determinant_ratio"] = float(np.min(ratio))
+    detail["determinant_ratio_threshold"] = float(threshold)
     return _make_result(name, residuals, 0.0, points, detail)
 
 

@@ -702,6 +702,7 @@ def _subst(root: _Node, table: Sequence[_Node]) -> _Node:
     return done[root]
 
 
+@np.errstate(all="ignore")
 def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
     """The values of ``roots`` at ``points`` (n, dim), by an order-0 tape.
 
@@ -709,7 +710,8 @@ def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
     once from its operands' arrays, with a recursive walk's arithmetic
     (``a / b``, ``a**k``) and domain checks, and an array is dropped after
     the step that last reads it.  The returned arrays may be shared or
-    views of ``points``; callers copy them.
+    views of ``points``; callers copy them.  An overflow gives ``inf`` or
+    ``nan`` without a numpy warning, as in :meth:`ScalarExpr.jets`.
     """
     nodes = _schedule(roots)
     step = {node: k for k, node in enumerate(nodes)}
@@ -985,8 +987,13 @@ class ScalarExpr:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.values(points)
 
+    @np.errstate(all="ignore")
     def jets(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched jets: values (n,), gradients (n,d), Hessians (n,d,d)."""
+        """Batched jets: values (n,), gradients (n,d), Hessians (n,d,d).
+
+        Domain errors raise :class:`EvalDomainError`; an overflow gives
+        ``inf`` or ``nan`` entries without a numpy warning, and the callers
+        that need finite values check for them."""
         pts = self._check_points(points)
         n, d = pts.shape
         v, g, h = self._root.jet(_JetCtx(pts))

@@ -258,9 +258,7 @@ def darboux(n: int) -> ModelDescriptor:
     pairs = [(vertical, one)]
     pairs += [(shears[i - 1], coord(f"q{i}", coords)) for i in range(1, n + 1)]
     pairs += [(translations[i - 1], -coord(f"p{i}", coords)) for i in range(1, n + 1)]
-    commuting = [(vertical, one)] + [
-        (translations[i - 1], -coord(f"p{i}", coords)) for i in range(1, n + 1)
-    ]
+    commuting = [pairs[0], *pairs[n + 1 :]]  # the Reeb field and the translations
     return ModelDescriptor(
         key=f"darboux({n})",
         system=system,
@@ -472,14 +470,14 @@ def basic_example() -> ModelDescriptor:
         evaluator = isotropy_defect(system, h, f)
         pts = chart.sample(samples, seed)
         residuals = np.abs(evaluator.evaluate(pts) - pts[:, chart.index("y")])
-        spot = abs(evaluator.at((1.0, 2.0, 3.0)) - 2.0)
-        residuals = np.maximum(residuals, spot)
+        spot = evaluator.at((1.0, 2.0, 3.0))
+        residuals = np.maximum(residuals, abs(spot - 2.0))
         return _make_result(
             "isotropy_defect_matches",
             residuals,
             resolve_tolerance("isotropy_identity"),
             pts,
-            {"value_at_1_2_3": evaluator.at((1.0, 2.0, 3.0))},
+            {"value_at_1_2_3": spot},
         )
 
     def involution_pair(samples: int, seed: int) -> CheckResult:

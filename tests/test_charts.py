@@ -79,6 +79,88 @@ def test_log_coordinate_sampling():
     assert 0.4 < np.median(r) < 2.5
 
 
+class TestKeptSamples:
+    """``Chart.sample`` draws once per (count, seed) and keeps the points on
+    the chart: the same read-only array on every call, gone with the chart."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        draw = Chart._draw
+
+        def counting(self, rng, count):
+            calls.append(count)
+            return draw(self, rng, count)
+
+        monkeypatch.setattr(Chart, "_draw", counting)
+        return calls
+
+    def test_one_draw_per_count_and_seed(self, draws):
+        chart = Chart("r3", ("x", "y", "z"))
+        first = chart.sample(16, 1)
+        assert len(draws) == 1
+        assert chart.sample(16, 1) is first
+        assert len(draws) == 1
+        chart.sample(16, 2)
+        chart.sample(8, 1)
+        assert len(draws) == 3
+        assert chart.sample(16, 2) is not first
+        assert len(draws) == 3
+
+    def test_domain_rejection_draws_once(self, draws):
+        chart = Chart("disc", ("x", "y"), domain=parse("1 - x^2 - y^2", ("x", "y")))
+        first = chart.sample(64, 3)
+        n = len(draws)
+        assert n >= 1
+        assert chart.sample(64, 3) is first
+        assert len(draws) == n
+
+    def test_same_points_as_a_fresh_chart(self):
+        kept = R3.sample(64, 7)
+        fresh = Chart("r3", ("x", "y", "z")).sample(64, 7)
+        assert fresh is not kept
+        assert fresh.tobytes() == kept.tobytes()
+
+    def test_read_only_and_owns_its_data(self):
+        pts = Chart("r3", ("x", "y", "z")).sample(10, 4)
+        assert pts.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 1.0
+
+    def test_custom_sampler_array_left_writeable(self):
+        own = np.full((5, 3), 0.5)
+
+        def sampler(count, seed):
+            return own[:count]
+
+        chart = Chart("custom", ("x", "y", "z"), sampler=sampler)
+        pts = chart.sample(5, 0)
+        assert pts is not own and np.array_equal(pts, own)
+        assert not pts.flags.writeable
+        assert own.flags.writeable
+        own[0, 0] = 9.0  # the kept points are a copy
+        assert chart.sample(5, 0)[0, 0] == 0.5
+
+    def test_equality_and_hash_ignore_kept_points(self):
+        used, unused = Chart("r3", ("x", "y", "z")), Chart("r3", ("x", "y", "z"))
+        used.sample(8, 1)
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert "_samples" not in repr(used)
+
+    def test_kept_points_die_with_the_chart(self):
+        import gc
+        import weakref
+
+        chart = Chart("r3", ("x", "y", "z"))
+        pts = weakref.ref(chart.sample(32, 9))
+        gc.collect()
+        assert pts() is not None  # held by the chart
+        del chart
+        gc.collect()
+        assert pts() is None
+
+
 # --- exterior derivative -----------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from contactkit.cli import (
     RunConfig,
     UsageError,
     _VALUE_OPTIONS,
+    _emit_record,
     main,
     model_battery,
     parse_config_file,
@@ -270,6 +271,21 @@ class TestBracketCommand:
         assert "not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_overflow_prints_one_error_line(self):
+        # numpy's overflow warnings, with their internal source lines, used
+        # to reach stderr before the error line.
+        argv = ["bracket", "x,y,z", "dz - y^2*dx", "x", "y", "0.1,1e200,0.3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "contactkit.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     @pytest.mark.parametrize("output", ["text", "records"])
     def test_non_finite_bracket_exits_usage(self, capsys, output):
         code, out, err = run_cli(
@@ -385,6 +401,57 @@ class TestVerifyCommand:
         headers = [line for line in out.splitlines() if line.startswith("model ")]
         assert headers[0] == "model darboux(1)"
         assert len(headers) == len(set(headers)) == 9
+
+    # sha256 prefixes of the output before sample points, cones and lifts
+    # were kept (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another LAPACK
+    # may move the last digits of a residual).
+    @pytest.mark.parametrize(
+        "samples, seed, output, digest",
+        [
+            (128, 20110615, "text", "1f2de7be037d53b1"),
+            (128, 20110615, "records", "efcd1e5202fff9a4"),
+            (128, 1, "text", "b93f9f4febdf8652"),
+            (128, 1, "records", "dac03ff5918576f8"),
+            (128, 205, "text", "d8f5ecd917b028d1"),
+            (128, 205, "records", "bd16555a9f64e11d"),
+            (4096, 20110615, "text", "405e71d0323ed3ae"),
+        ],
+    )
+    def test_verify_all_golden(self, capsys, samples, seed, output, digest):
+        code, out, err = run_cli(
+            capsys, "verify", "all", "--samples", str(samples), "--seed", str(seed),
+            "--format", output,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_nothing_kept_across_commands(self, monkeypatch, capsys):
+        from contactkit import cone as cone_module
+
+        counts = {"draws": 0, "preconditions": 0}
+        sampled, rate = Chart._sampled, cone_module.reeb_rate
+
+        def counting_sampled(self, count, seed):
+            counts["draws"] += 1
+            return sampled(self, count, seed)
+
+        def counting_rate(system, hamiltonian):
+            counts["preconditions"] += 1
+            return rate(system, hamiltonian)
+
+        monkeypatch.setattr(Chart, "_sampled", counting_sampled)
+        monkeypatch.setattr(cone_module, "reeb_rate", counting_rate)
+        seen = []
+        for _ in range(2):
+            last = run_cli(capsys, "verify", "all", "--samples", "16")
+            seen.append(dict(counts))
+            counts.update(draws=0, preconditions=0)
+        assert seen[0] == seen[1]
+        # one draw per distinct (chart, count, seed), one precondition per
+        # distinct (cone, pair, samples, seed): far fewer than the calls
+        assert 0 < seen[0]["draws"] < 40
+        assert 0 < seen[0]["preconditions"] < 40
+        assert run_cli(capsys, "verify", "all", "--samples", "16") == last
 
     @pytest.mark.parametrize(
         "argv",
@@ -515,6 +582,20 @@ class TestYpqCommand:
     def test_non_integer_params_rejected_by_parser(self, capsys):
         code, _, _ = run_cli(capsys, "ypq", "three", "1")
         assert code == EXIT_USAGE
+
+
+class TestRecords:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_refused(self, value):
+        stream = io.StringIO()
+        with pytest.raises(UsageError, match="check record holds a non-finite number"):
+            _emit_record(stream, {"kind": "check", "detail": {"x": [1.0, value]}})
+        assert stream.getvalue() == ""
+
+    def test_finite_record_is_one_sorted_line(self):
+        stream = io.StringIO()
+        _emit_record(stream, {"kind": "note", "a": 1e308, "b": -0.0})
+        assert stream.getvalue() == '{"a": 1e+308, "b": -0.0, "kind": "note"}\n'
 
 
 class TestEntryPoints:

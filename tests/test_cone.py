@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactkit import cone as cone_module
 from contactkit.charts import Chart, DifferentialForm, basis_field, one_form, vector_field
 from contactkit.cone import (
     ConeSystem,
@@ -386,6 +387,128 @@ class TestCommutingLifts:
     def test_needs_at_least_one_pair(self):
         with pytest.raises(ValueError, match="at least one"):
             commuting_lift_check(build_cone(darboux3()), [])
+
+
+# -- one cone and one lift per system -------------------------------------
+
+
+class TestKeptConeAndLifts:
+    """The cone is built once per (system, radial bounds) and each lift's
+    precondition is checked once per (pair, samples, seed, tolerance)."""
+
+    @pytest.fixture
+    def preconditions(self, monkeypatch):
+        """Counts precondition checks: only the precondition needs the
+        symbolic Reeb rate."""
+        calls = []
+        rate = cone_module.reeb_rate
+
+        def counting(system, hamiltonian):
+            calls.append(str(hamiltonian))
+            return rate(system, hamiltonian)
+
+        monkeypatch.setattr(cone_module, "reeb_rate", counting)
+        return calls
+
+    def test_one_cone_per_radial_bounds(self):
+        system = darboux3()
+        cone = build_cone(system, verify=False)
+        assert build_cone(system) is cone
+        assert build_cone(system, radial_bounds=(0.1, 10.0), verify=False) is cone
+        other = build_cone(system, radial_bounds=(0.5, 2.0), verify=False)
+        assert other is not cone
+        assert build_cone(darboux3(), verify=False) is not cone  # equal, not the same system
+        assert "_cones" not in repr(system) and "_lifts" not in repr(cone)
+
+    def test_cone_is_kept_while_held_and_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        chart = Chart("darboux3", ("x", "y", "z"))
+        eta = one_form(chart, {"z": 1.0, "x": "-y"})
+        # verify=False: the construction check would leave the system in the
+        # shared frame slot
+        system = ContactSystem(chart, eta, reeb=basis_field(chart, "z"), verify=False)
+        gc.disable()
+        try:
+            dropped = weakref.ref(build_cone(system, verify=False))
+            assert dropped() is None and len(system._cones) == 0
+            cone = build_cone(system, verify=False)
+            lift(cone, *dilation_field(system), samples=16, seed=SEED, verify=False)
+            points = [weakref.ref(c.sample(16, SEED)) for c in (chart, cone.cone_chart)]
+            del system, cone, chart, eta
+            assert [ref() is None for ref in points] == [True, True]
+        finally:
+            gc.enable()
+
+    def test_verify_runs_on_every_call(self, monkeypatch):
+        system = darboux3()
+        build_cone(system, verify=False)
+        checks = []
+        closure = cone_module.closure_check
+
+        def counting(cone, **kwargs):
+            checks.append(kwargs["samples"])
+            return closure(cone, **kwargs)
+
+        monkeypatch.setattr(cone_module, "closure_check", counting)
+        build_cone(system, verify=False)
+        build_cone(system)
+        build_cone(system, samples=16)
+        assert checks == [32, 16]
+
+    def test_degenerate_base_raises_on_every_verified_call(self):
+        chart = Chart("flat3", ("x", "y", "z"))
+        degenerate = ContactSystem(chart, one_form(chart, {"z": 1.0}), verify=False)
+        cone = build_cone(degenerate, verify=False)
+        for _ in range(2):
+            with pytest.raises(ContactConditionError, match="not symplectic"):
+                build_cone(degenerate)
+        assert build_cone(degenerate, verify=False) is cone
+
+    def test_scale_covariance_reuses_the_plain_cone(self):
+        system = darboux3()
+        cone = build_cone(system, verify=False)
+        check = scale_covariance_check(system, 2.0, samples=32, seed=SEED)
+        assert check.passed
+        assert list(system._cones.values()) == [cone]
+
+    def test_precondition_checked_once_per_pair_samples_seed(self, preconditions):
+        system = darboux3()
+        cone = build_cone(system, verify=False)
+        X, h = dilation_field(system)
+        lifted = lift(cone, X, h, samples=16, seed=SEED, verify=False)
+        assert lift(cone, X, h, samples=16, seed=SEED) is lifted
+        cone_hamiltonian(cone, X, h, samples=16, seed=SEED)
+        commuting_lift_check(cone, [(X, h)], samples=16, seed=SEED)
+        assert preconditions == ["z"]
+        lift(cone, X, h, samples=16, seed=SEED + 1, verify=False)
+        lift(cone, X, h, samples=32, seed=SEED, verify=False)
+        lift(cone, X, h, samples=16, seed=SEED, tolerances={"lift_precondition": 1e-6})
+        lift(cone, X, h, samples=16, seed=SEED, tolerances={"lift_invariance": 1e-6})
+        assert preconditions == ["z"] * 4
+        lift(build_cone(darboux3(), verify=False), X, h, samples=16, seed=SEED)
+        assert preconditions == ["z"] * 5
+
+    def test_failed_precondition_is_not_kept(self, preconditions):
+        system = darboux3()
+        cone = build_cone(system, verify=False)
+        bad = basis_field(system.chart, "y")
+        for _ in range(2):
+            with pytest.raises(ContactTransformationError, match="not an infinitesimal"):
+                lift(cone, bad, system.chart.parse("0"))
+        assert len(preconditions) == 2
+        assert cone._lifts == {}
+
+    def test_kept_lift_equals_a_fresh_one(self):
+        system = darboux3()
+        X, h = dilation_field(system)
+        kept_cone = build_cone(system, verify=False)
+        lift(kept_cone, X, h, verify=False)
+        kept = lift(kept_cone, X, h, verify=False)
+        fresh = lift(build_cone(darboux3(), verify=False), X, h, verify=False)
+        pts = kept_cone.cone_chart.sample(32, SEED)
+        assert kept.evaluate(pts).tobytes() == fresh.evaluate(pts).tobytes()
 
 
 # -- derived vertical families ---------------------------------------------

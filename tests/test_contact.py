@@ -2,6 +2,7 @@
 
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,28 @@ class TestContactCondition:
         expected = float(np.min(1.0 / np.sqrt(1.0 + y**2)))
         assert abs(result.detail["min_abs_determinant"] - expected) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_records_stay_finite_at_extreme_scales(self, scale):
+        # |det| of the contact matrix scales like scale^3 and leaves the
+        # float range at both ends; the record carries its log instead.
+        from contactkit.cone import build_cone, nondegeneracy_check
+
+        chart = Chart("darboux3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": scale, "x": f"-{scale!r}*y"}))
+        cone = build_cone(system, verify=False)
+        for result in (
+            is_contact_form(system, samples=64, seed=SEED),
+            nondegeneracy_check(cone, samples=64, seed=SEED),
+        ):
+            assert result.passed
+            json.dumps(result.to_record(), allow_nan=False)
+            assert "min_abs_determinant" not in result.detail
+            assert np.isfinite(result.detail["min_log_abs_determinant"])
+        y = system.chart.sample(64, SEED)[:, 1]
+        expected = 3 * np.log(scale) + float(np.min(-0.5 * np.log1p(y**2)))
+        got = is_contact_form(system, samples=64, seed=SEED).detail["min_log_abs_determinant"]
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_degenerate_form_fails_with_witness(self):
         result = is_contact_form(degenerate3(), samples=64, seed=SEED)
         assert not result.passed
@@ -128,6 +151,20 @@ class TestNonFiniteInput:
         with pytest.raises(EvalDomainError):
             jacobi_bracket(system, chart.parse("x"), chart.parse("y")).at(point)
         assert contact_module._shared is None  # no half-built geometry is kept
+
+    def test_overflow_gives_no_numpy_warning(self):
+        chart = Chart("c3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y^2"}))
+        point = (0.1, 1e200, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(chart.parse("y^2").values(np.array([point]))[0])
+            assert np.isinf(chart.parse("y^3").jets(point)[0][0])
+            with pytest.raises(EvalDomainError, match="not finite"):
+                hamiltonian_field(system, chart.parse("x")).evaluate(point)
+            # finite eta, overflowing h: the solve gives non-finite entries
+            X = hamiltonian_field(system, chart.parse("exp(1000*z)")).evaluate((0.1, 0.2, 0.9))
+            assert not np.all(np.isfinite(X))
 
     def test_nan_eta_is_not_reported_as_degenerate(self):
         chart = Chart("c3", ("x", "y", "z"))
@@ -844,6 +881,32 @@ class TestSharedFrame:
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+    def test_slot_keeps_the_chart_sample_and_matches_by_identity(self, svd_calls, monkeypatch):
+        sys = darboux3()
+        pts = sys.chart.sample(32, SEED)
+        reeb_defining_check(sys, samples=32, seed=SEED)
+        geometry = contact_module._shared
+        assert geometry.points is pts  # kept, not copied
+        monkeypatch.setattr(geometry, "key", b"")  # an identity match needs no bytes
+        hamiltonian_field(sys, sys.chart.parse("x")).evaluate(pts)
+        assert contact_module._shared is geometry
+        own = np.array(pts)  # equal bytes in a writeable array of the caller's
+        hamiltonian_field(sys, sys.chart.parse("x")).evaluate(own)
+        assert contact_module._shared is not geometry
+        assert contact_module._shared.points is not own
+        assert len(svd_calls) == 2
+
+    def test_one_point_value_leaves_the_slot(self, svd_calls):
+        sys = darboux3()
+        h, f = sys.chart.parse("-y"), sys.chart.parse("z")
+        reeb_defining_check(sys, seed=SEED)
+        geometry = contact_module._shared
+        assert abs(isotropy_defect(sys, h, f).at((1.0, 2.0, 3.0)) - 2.0) < 1e-12
+        assert jacobi_bracket(sys, h, f).at((1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
+        assert contact_module._shared is geometry
+        is_good(sys, h, seed=SEED)
+        assert [shape[0] for shape in svd_calls] == [128, 1, 1]
 
     def test_slot_keeps_no_expression_data(self):
         sys = heisenberg(1)
