@@ -6,15 +6,21 @@ down the Hamiltonian vector field of a function ``h``:
     pairing     :  eta(X) = h
     contraction :  (X -| d eta)_j = a * eta_j - (dh)_j,    a := dh(R)
 
-with ``R`` the Reeb field (the ``h = 1`` case, whose right-hand side collapses
-to ``(1, 0, ..., 0)``).  The ``(dim+1) x dim`` coefficient matrix has full
-column rank exactly where the contact condition holds, so a batched SVD solve
-recovers the unique solution.  Spatial Jacobians of solved fields come from
-differentiating the linear system itself -- ``A dX = db - (dA) X`` -- never
-from finite differences; brackets are then computed as ``eta([X_f, X_g])``
-from honest field commutators, which makes the identities checked in this
-module genuine cross-checks on the solver rather than restatements of its
-defining equations.
+with ``R`` the Reeb field.  Taking ``a`` as one more unknown makes the
+system square: with ``E`` the coefficients of eta and ``D`` the matrix of
+``d eta``, the bordered matrix ``M = [[D^T, -E], [E^T, 0]]`` gives
+
+    M [X; a] = [-dh; h].
+
+``M`` is antisymmetric and degree 1 in eta, and nonsingular exactly where
+the contact condition holds, so one batched inverse yields the field and its
+Reeb derivative together; the Reeb field is the ``h = 1`` case (``a = 0``).
+Spatial Jacobians of solved fields come from differentiating the linear
+system itself -- ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` -- never from
+finite differences; brackets are then computed as ``eta([X_f, X_g])`` from
+honest field commutators, which makes the identities checked in this module
+genuine cross-checks on the solver rather than restatements of its defining
+equations.
 """
 
 from __future__ import annotations
@@ -66,8 +72,10 @@ __all__ = [
 DEFAULT_SEED = 20110615
 DEFAULT_SAMPLES = 128
 
-#: Ratio of smallest to largest singular value below which the pointwise
-#: field system is declared singular (the contact condition fails there).
+#: The pointwise field system is declared singular (the contact condition
+#: fails there) where the 1-norm condition number ``|M|_1 |M^-1|_1`` of its
+#: bordered matrix reaches ``1 / SINGULAR_RATIO`` or is not finite.  Both
+#: norms scale inversely with eta, so the guard does not depend on its size.
 SINGULAR_RATIO = 1e-12
 
 #: Sample count used for the construction-time contact check.
@@ -279,7 +287,9 @@ class ContactSystem:
         if self.reeb is not None and not self.reeb.chart.compatible(self.chart):
             raise ChartMismatchError("reeb field lives on a different chart")
         if verify:
-            check = _contact_check(self, VERIFY_SAMPLES, DEFAULT_SEED, None)
+            # Apart from the shared slot, which keeps the running batch's
+            # geometry and would otherwise keep this system alive.
+            check = _contact_check(self, VERIFY_SAMPLES, DEFAULT_SEED, None, shared=False)
             if not check.passed:
                 raise ContactConditionError(
                     f"form on chart {self.chart.name!r} is not contact: "
@@ -327,8 +337,10 @@ def _require_finite(what: str, points: np.ndarray, *arrays: np.ndarray) -> None:
     """Raise :class:`EvalDomainError` at the first point where an entry of
     ``arrays`` (each indexed by point first) is ``inf`` or ``nan``.
 
-    The batched SVD does not return on a matrix holding ``inf``, so every
-    array handed to it passes through here first.
+    A non-finite eta would come out of the batched inverse as a plausible
+    ``nan`` field, and the batched SVD of the rank count does not return on
+    a matrix holding ``inf``, so every array handed to either passes through
+    here first.
     """
     bad = np.zeros(len(points), dtype=bool)
     for a in arrays:
@@ -342,13 +354,13 @@ class _Geometry:
     """The expression-independent data of one system at one set of points.
 
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
-    ``D[n, i, j] = dEta(e_i, e_j)``, and ``dA[n, k, row, i] = d_k A[row, i]``
-    for the field system ``A = [E; D^T]``.  ``solver`` holds the pointwise
-    pseudo-inverse ``P = V S^-1 U^T`` of ``A`` and its singular values
-    ``S``; ``reeb`` the solved Reeb field.  Both are computed on first use.
+    ``D[n, i, j] = dEta(e_i, e_j)``, and ``dM[n, k, row, col] = d_k M[row,
+    col]`` for the bordered matrix ``M = [[D^T, -E], [E^T, 0]]`` of the field
+    system.  ``inverse`` holds the pointwise ``M^-1``, computed on first use
+    and guarded by :data:`SINGULAR_RATIO`.
 
     One geometry is shared by every frame on the same (system, points), so
-    its arrays are read-only.  The lazy parts are computed whole and then
+    its arrays are read-only.  The lazy inverse is computed whole and then
     assigned, so threads sharing a geometry at worst repeat that work.
     """
 
@@ -356,16 +368,19 @@ class _Geometry:
         n, d = pts.shape
         E = np.zeros((n, d))
         dE = np.zeros((n, d, d))
-        d2E = np.zeros((n, d, d, d))
+        # d_k M[r, i] = d_k d_i eta_r - d_k d_r eta_i in the D^T block, filled
+        # coefficient by coefficient from its Hessian.
+        dM = np.zeros((n, d, d + 1, d + 1))
         for (k,), expr in system.eta.coefficients.items():
             v, g, h = expr.jets(pts)
             E[:, k] = v
             dE[:, :, k] = g
-            d2E[:, :, :, k] = h
+            dM[:, :, k, :d] += h
+            dM[:, :, :d, k] -= h
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
-        dD = d2E - np.swapaxes(d2E, 2, 3)
-        del d2E  # with dA the largest arrays here: free one before building the other
+        dM[:, :, :d, d] = -dE
+        dM[:, :, d, :d] = dE
         self.system = system
         self.key = pts.tobytes()
         # A read-only array that owns its data, such as a chart's kept
@@ -375,63 +390,73 @@ class _Geometry:
         self.E = E
         self.dE = dE
         self.D = D
-        self.dA = np.concatenate([dE[:, :, None, :], np.swapaxes(dD, 2, 3)], axis=2)
-        _read_only(self.points, E, dE, D, self.dA)
-        self._solver: tuple[np.ndarray, np.ndarray] | None = None
-        self._reeb: _Solved | None = None
+        self.dM = dM
+        _read_only(self.points, E, dE, D, dM)
+        self._inverse: np.ndarray | None = None
 
     # -- linear algebra ---------------------------------------------------
 
-    def solver(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(P, S)``: the pointwise pseudo-inverse and singular values."""
-        if self._solver is None:
-            A = np.concatenate([self.E[:, None, :], np.swapaxes(self.D, 1, 2)], axis=1)
-            U, S, Vt = np.linalg.svd(A, full_matrices=False)
-            bad = S[:, -1] <= SINGULAR_RATIO * S[:, 0]
+    def inverse(self) -> np.ndarray:
+        """The pointwise inverse of ``M``; raises :class:`SingularSystemError`
+        at the first point where ``M`` is singular or ill-conditioned."""
+        if self._inverse is None:
+            n, d = self.points.shape
+            M = np.zeros((n, d + 1, d + 1))
+            M[:, :d, :d] = np.swapaxes(self.D, 1, 2)
+            M[:, :d, d] = -self.E
+            M[:, d, :d] = self.E
+            try:
+                inverse = np.linalg.inv(M)
+            except np.linalg.LinAlgError:
+                i = int(np.argmin(np.abs(np.linalg.slogdet(M)[0])))
+                raise SingularSystemError(
+                    self.points[i],
+                    "the bordered contact matrix is singular; the contact condition fails here",
+                ) from None
+            with np.errstate(all="ignore"):
+                cond = _norm1(M) * _norm1(inverse)
+            bad = ~(cond < 1.0 / SINGULAR_RATIO)
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise SingularSystemError(
                     self.points[i],
-                    f"singular-value ratio {S[i, -1]:.3e} / {S[i, 0]:.3e} "
-                    f"below {SINGULAR_RATIO:g}; the contact condition fails here",
+                    f"1-norm condition number {cond[i]:.3e} of the bordered contact "
+                    f"matrix reaches {1.0 / SINGULAR_RATIO:g}; the contact condition fails here",
                 )
-            P = (np.swapaxes(Vt, 1, 2) / S[:, None, :]) @ np.swapaxes(U, 1, 2)
-            _read_only(P, S)
-            self._solver = (P, S)
-        return self._solver
+            _read_only(inverse)
+            self._inverse = inverse
+        return self._inverse
 
     @np.errstate(all="ignore")
-    def solve_linear(self, h, dh, d2h, a, da):
-        """The field ``X`` with right-hand side ``(h, a eta - dh)`` and its
-        Jacobian ``dX``, from ``A dX = db - (dA) X``.
+    def solve_linear(self, h, dh, d2h):
+        """``(X, dX, a, da)``: the field with ``M [X; a] = [-dh; h]``, its
+        Reeb derivative ``a = R h`` and their Jacobians, from
+        ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]``.
 
         An overflow gives ``inf`` or ``nan`` entries without a numpy
         warning; callers that report a value check it is finite."""
-        P = self.solver()[0]
+        inverse = self.inverse()
         n, d = self.points.shape
-        b = np.concatenate([h[:, None], a[:, None] * self.E - dh], axis=1)
-        X = (P @ b[:, :, None])[:, :, 0]
+        b = np.empty((n, d + 1))
+        b[:, :d] = -dh
+        b[:, d] = h
+        Y = (inverse @ b[:, :, None])[:, :, 0]
         db = np.empty((n, d + 1, d))
-        db[:, 0, :] = dh
-        db[:, 1:, :] = (
-            da[:, None, :] * self.E[:, :, None]
-            + a[:, None, None] * np.swapaxes(self.dE, 1, 2)
-            - np.swapaxes(d2h, 1, 2)
-        )
-        rhs = db - np.einsum("nkri,ni->nrk", self.dA, X)
-        return X, P @ rhs
+        db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
+        db[:, d, :] = dh
+        dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
+        return Y[:, :d], dY[:, :d, :], Y[:, d], dY[:, d, :]
 
-    def reeb(self) -> _Solved:
-        if self._reeb is None:
-            n, d = self.points.shape
-            one = np.ones(n)
-            zero0 = np.zeros(n)
-            zero1 = np.zeros((n, d))
-            zero2 = np.zeros((n, d, d))
-            X, dX = self.solve_linear(one, zero1, zero2, zero0, zero1)
-            _read_only(one, zero0, zero1, zero2, X, dX)
-            self._reeb = _Solved(one, zero1, zero2, zero0, zero1, X, dX)
-        return self._reeb
+    def reeb(self) -> np.ndarray:
+        """The Reeb field: the ``h = 1`` solve, whose right-hand side is the
+        last unit vector, so it is the last column of ``M^-1`` (read-only)."""
+        d = self.points.shape[1]
+        return self.inverse()[:, :d, d]
+
+
+def _norm1(matrices: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest absolute column sum) of each of ``matrices``."""
+    return np.max(np.sum(np.abs(matrices), axis=-2), axis=-1)
 
 
 #: The geometry of the most recent (system, points).  One slot rather than
@@ -475,16 +500,12 @@ class _Frame:
 
     # -- solved fields ----------------------------------------------------
 
-    @np.errstate(all="ignore")  # as in solve_linear
     def solved(self, expr: ScalarExpr) -> _Solved:
         hit = self._cache.get(id(expr))
         if hit is not None:
             return hit[1]
-        R = self.geometry.reeb()
         h, dh, d2h = expr.jets(self.points)
-        a = np.einsum("ni,ni->n", R.X, dh)
-        da = np.einsum("nik,ni->nk", R.dX, dh) + np.einsum("ni,nki->nk", R.X, d2h)
-        X, dX = self.geometry.solve_linear(h, dh, d2h, a, da)
+        X, dX, a, da = self.geometry.solve_linear(h, dh, d2h)
         sol = _Solved(h, dh, d2h, a, da, X, dX)
         self._cache[id(expr)] = (expr, sol)
         return sol
@@ -529,7 +550,7 @@ class HamiltonianFieldEvaluator:
     """Solver-backed vector field for one Hamiltonian function.
 
     Evaluates anywhere on the chart; the Reeb field is the ``hamiltonian = 1``
-    case.  Calls at the same points share the frame geometry (one SVD).
+    case.  Calls at the same points share the frame geometry (one inverse).
     """
 
     def __init__(self, system: ContactSystem, hamiltonian: ScalarExpr):
@@ -696,6 +717,7 @@ def _contact_check(
     samples: int,
     seed: int,
     tolerances: Mapping[str, float] | None,
+    shared: bool = True,
 ) -> CheckResult:
     """The ratio check on ``D + E E^T / |E|``.
 
@@ -705,7 +727,7 @@ def _contact_check(
     so the verdict does not depend on the size of eta.
     """
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
+    fr = _Frame(system, pts, shared)
     norm = np.linalg.norm(fr.E, axis=1)
     norm = np.where(norm > 0.0, norm, 1.0)
     rank_one = np.einsum("ni,nj->nij", fr.E, fr.E) / norm[:, None, None]
@@ -1135,8 +1157,8 @@ def reeb_defining_check(
     pts = system.chart.sample(samples, seed)
     fr = _Frame(system, pts)
     R = fr.geometry.reeb()
-    pairing = np.abs(fr.eta_values(R.X) - 1.0)
-    contraction = np.max(np.abs(fr.contraction(R.X)), axis=1)
+    pairing = np.abs(fr.eta_values(R) - 1.0)
+    contraction = np.max(np.abs(fr.contraction(R)), axis=1)
     residuals = np.maximum(pairing, contraction)
     tol = resolve_tolerance("reeb_defining", tolerances)
     return _make_result("reeb_defining", residuals, tol, pts)

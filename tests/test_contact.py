@@ -1,12 +1,16 @@
 """Contact-core checks: solved fields, brackets, classification, transport."""
 
 import ast
+import gc
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit import contact as contact_module
 from contactkit.charts import Chart, one_form
@@ -208,6 +212,54 @@ class TestReebField:
     def test_degenerate_point_raises_singular_error(self):
         with pytest.raises(SingularSystemError):
             reeb_field(degenerate3()).evaluate((0.1, 0.2, 0.3))
+
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150])
+    def test_scaled_form_has_scaled_reeb_field(self, c):
+        chart = Chart("darboux3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": c, "x": f"-{c!r}*y"}))
+        pts = chart.sample(64, SEED)
+        R = reeb_field(darboux3()).evaluate(pts)
+        np.testing.assert_allclose(reeb_field(system).evaluate(pts) * c, R, rtol=1e-12, atol=1e-12)
+        assert reeb_defining_check(system, samples=64, seed=SEED).passed
+
+
+class TestSingularSystemGuard:
+    """Where the contact condition fails the field system is singular, and
+    every solve there raises :class:`SingularSystemError` at the point."""
+
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-13])
+    def test_nearly_degenerate_forms_raise(self, c, eps):
+        # c * (dz - eps * y dx): d(eta) is eps * c * dx^dy, so eta /\ d(eta)
+        # is eps times that of a contact form of the same size.
+        chart = Chart("c3", ("x", "y", "z"))
+        eta = one_form(chart, {"z": c, "x": f"-{c * eps!r}*y"})
+        system = ContactSystem(chart, eta, verify=False)
+        pts = chart.sample(16, SEED)
+        with pytest.raises(SingularSystemError, match="contact condition fails"):
+            reeb_field(system).evaluate(pts)
+        with pytest.raises(SingularSystemError):
+            hamiltonian_field(system, chart.parse("x*z")).evaluate(pts)
+
+    def test_exactly_singular_point_in_a_batch_is_named(self):
+        # dz - y^3 dx is contact except on y = 0, where d(eta) vanishes.
+        chart = Chart("c3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y^3"}))
+        pts = chart.sample(128, SEED).copy()
+        pts[57, 1] = 0.0
+        with pytest.raises(SingularSystemError) as caught:
+            hamiltonian_field(system, chart.parse("x")).evaluate(pts)
+        point = tuple(float(c) for c in pts[57])
+        assert caught.value.point == point
+        assert str(point) in str(caught.value)
+
+    def test_solve_is_finite_next_to_the_singular_set(self):
+        chart = Chart("c3", ("x", "y", "z"))
+        system = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y^3"}))
+        pts = chart.sample(128, SEED).copy()
+        pts[57, 1] = 1e-3  # |d(eta)| = 3e-6: well conditioned enough
+        assert np.all(np.isfinite(reeb_field(system).evaluate(pts)))
 
 
 # -- Hamiltonian fields ---------------------------------------------------
@@ -703,6 +755,39 @@ class TestConformalBracketLaw:
             )
 
 
+# -- rescaling law --------------------------------------------------------
+
+
+def heisenberg5() -> ContactSystem:
+    return heisenberg(2)
+
+
+class TestRescalingLaw:
+    """The structure does not change when eta is rescaled by ``g > 0``: the
+    field of ``h`` for ``g eta`` is the field of ``h / g`` for eta, and the
+    Reeb field of ``g eta`` is the field of ``1 / g``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([darboux3, heisenberg5, cosphere2]), st.integers(0, 2**32 - 1))
+    def test_fields_of_rescaled_form(self, make, seed):
+        system = make()
+        coords = system.chart.coords
+        rng = np.random.default_rng(seed)
+        q = random_polynomial(coords, 2, rng, n_terms=3)
+        g = 1.0 + q * q
+        h = random_polynomial(coords, 3, rng)
+        rescaled = ContactSystem(system.chart, system.eta.scaled(g), verify=False)
+        pts = system.chart.sample(64, SEED)
+        pairs = [
+            (hamiltonian_field(rescaled, h), hamiltonian_field(system, h / g)),
+            (reeb_field(rescaled), hamiltonian_field(system, 1.0 / g)),
+        ]
+        for got, want in pairs:
+            expected = want.evaluate(pts)
+            scale = np.maximum(1.0, np.abs(expected))
+            assert np.max(np.abs(got.evaluate(pts) - expected) / scale) < 1e-10
+
+
 # -- conjugacy transport --------------------------------------------------
 
 
@@ -798,19 +883,21 @@ class TestCheckResult:
 
 
 class TestSharedFrame:
-    """Checks on one (system, points) share one frame geometry: one SVD,
-    the same results as a fresh solve, nothing of the caller's kept."""
+    """Checks on one (system, points) share one frame geometry: one inverse
+    of the bordered matrix, the same results as a fresh solve, nothing of
+    the caller's kept.  (The tests named ``..._svd`` predate the inverse;
+    ``inv_calls`` counts the solve kernel.)"""
 
     @pytest.fixture
-    def svd_calls(self, monkeypatch):
+    def inv_calls(self, monkeypatch):
         calls = []
-        svd = np.linalg.svd
+        inv = np.linalg.inv
 
         def counting(*args, **kwargs):
             calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+            return inv(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, "inv", counting)
         return calls
 
     def test_results_identical_on_hit_and_miss(self, monkeypatch):
@@ -838,7 +925,7 @@ class TestSharedFrame:
         for name, values in arrays.items():
             assert values.tobytes() == hits[-1][name].tobytes()
 
-    def test_one_svd_for_repeated_flow_checks(self, svd_calls):
+    def test_one_svd_for_repeated_flow_checks(self, inv_calls):
         sys = heisenberg(1)
         rng = np.random.default_rng([SEED, 42])
         pairs = [
@@ -847,9 +934,9 @@ class TestSharedFrame:
         ]
         for h, f in pairs:
             assert verify_flow_identity(sys, h, f, samples=128, seed=SEED).passed
-        assert svd_calls == [(128, 4, 3)]
+        assert inv_calls == [(128, 4, 4)]
 
-    def test_evaluator_calls_share_one_svd(self, svd_calls):
+    def test_evaluator_calls_share_one_svd(self, inv_calls):
         sys = darboux3()
         field = hamiltonian_field(sys, sys.chart.parse("x*z + y"))
         pts = sys.chart.sample(16, SEED)
@@ -857,9 +944,9 @@ class TestSharedFrame:
         field.jacobian(pts)
         field.residuals(pts)
         reeb_field(sys).evaluate(pts)
-        assert len(svd_calls) == 1
+        assert len(inv_calls) == 1
 
-    def test_other_system_or_points_miss(self, svd_calls):
+    def test_other_system_or_points_miss(self, inv_calls):
         first, twin = darboux3(), darboux3()
         h, f = first.chart.parse("x*z + y"), first.chart.parse("z")
         verify_flow_identity(first, h, f, seed=SEED)
@@ -868,21 +955,19 @@ class TestSharedFrame:
         verify_flow_identity(first, h, f, seed=SEED + 1)
         verify_flow_identity(first, h, f, samples=64, seed=SEED)
         verify_flow_identity(first, h, f, samples=64, seed=SEED)
-        assert len(svd_calls) == 5
+        assert len(inv_calls) == 5
 
     def test_shared_arrays_reject_writes(self):
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
         geometry = contact_module._shared
-        P, S = geometry.solver()
-        R = geometry.reeb()
-        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.dA, P, S]
-        shared += [R.value, R.grad, R.hess, R.a, R.da, R.X, R.dX]
+        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.dM]
+        shared += [geometry.inverse(), geometry.reeb()]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
-    def test_slot_keeps_the_chart_sample_and_matches_by_identity(self, svd_calls, monkeypatch):
+    def test_slot_keeps_the_chart_sample_and_matches_by_identity(self, inv_calls, monkeypatch):
         sys = darboux3()
         pts = sys.chart.sample(32, SEED)
         reeb_defining_check(sys, samples=32, seed=SEED)
@@ -895,9 +980,9 @@ class TestSharedFrame:
         hamiltonian_field(sys, sys.chart.parse("x")).evaluate(own)
         assert contact_module._shared is not geometry
         assert contact_module._shared.points is not own
-        assert len(svd_calls) == 2
+        assert len(inv_calls) == 2
 
-    def test_one_point_value_leaves_the_slot(self, svd_calls):
+    def test_one_point_value_leaves_the_slot(self, inv_calls):
         sys = darboux3()
         h, f = sys.chart.parse("-y"), sys.chart.parse("z")
         reeb_defining_check(sys, seed=SEED)
@@ -906,7 +991,7 @@ class TestSharedFrame:
         assert jacobi_bracket(sys, h, f).at((1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
         assert contact_module._shared is geometry
         is_good(sys, h, seed=SEED)
-        assert [shape[0] for shape in svd_calls] == [128, 1, 1]
+        assert [shape[0] for shape in inv_calls] == [128, 1, 1]
 
     def test_slot_keeps_no_expression_data(self):
         sys = heisenberg(1)
@@ -915,8 +1000,22 @@ class TestSharedFrame:
         jacobi_bracket(sys, h, f).evaluate(sys.chart.sample(8, SEED))
         geometry = contact_module._shared
         held = vars(geometry).values()
-        assert not any(isinstance(value, (dict, list, set, ScalarExpr)) for value in held)
-        assert [v for v in held if isinstance(v, contact_module._Solved)] == [geometry.reeb()]
+        assert not any(
+            isinstance(value, (dict, list, set, ScalarExpr, contact_module._Solved))
+            for value in held
+        )
+
+    def test_construction_check_leaves_the_slot(self):
+        sys = darboux3()
+        reeb_defining_check(sys, seed=SEED)
+        geometry = contact_module._shared
+        chart = Chart("darboux3", ("x", "y", "z"))
+        built = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y"}))
+        assert contact_module._shared is geometry
+        ref = weakref.ref(built)
+        del built
+        gc.collect()
+        assert ref() is None
 
 
 class TestToleranceRegistry:
