@@ -422,9 +422,10 @@ class TestVerifyCommand:
         assert headers[0] == "model darboux(1)"
         assert len(headers) == len(set(headers)) == 9
 
-    # sha256 prefixes of the output before sample points, cones and lifts
-    # were kept (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another LAPACK
-    # may move the last digits of a residual).
+    # sha256 prefixes of the output (numpy 2.4 with OpenBLAS 0.3.31 on
+    # x86-64; another LAPACK may move the last digits of a residual).  A
+    # change to the linear algebra re-pins them only after a diff against
+    # its parent shows the same labels, verdicts and exit codes.
     GOLDENS = [
         (128, 20110615, "text", "51e98c3557eb827d"),
         (128, 20110615, "records", "77b82e40aa2c9be8"),

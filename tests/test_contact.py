@@ -213,7 +213,6 @@ class TestReebField:
         with pytest.raises(SingularSystemError):
             reeb_field(degenerate3()).evaluate((0.1, 0.2, 0.3))
 
-
     @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150])
     def test_scaled_form_has_scaled_reeb_field(self, c):
         chart = Chart("darboux3", ("x", "y", "z"))
