@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
-from .expressions import EvalDomainError, ScalarExpr, _values_of, const, parse
+from .expressions import EvalDomainError, ScalarExpr, _jets_of, _values_of, const, parse
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -369,14 +369,22 @@ class _Geometry:
         E = np.zeros((n, d))
         dE = np.zeros((n, d, d))
         # d_k M[r, i] = d_k d_i eta_r - d_k d_r eta_i in the D^T block, filled
-        # coefficient by coefficient from its Hessian.
+        # from each coefficient's Hessian as soon as the one tape of all the
+        # coefficients has computed it, so no other finished Hessian is held.
         dM = np.zeros((n, d, d + 1, d + 1))
-        for (k,), expr in system.eta.coefficients.items():
-            v, g, h = expr.jets(pts)
+        coefficients = system.eta.coefficients
+        columns = [k for (k,) in coefficients]
+
+        def take(r, v, g, h):
+            k = columns[r]
             E[:, k] = v
-            dE[:, :, k] = g
-            dM[:, :, k, :d] += h
-            dM[:, :, :d, k] -= h
+            if g is not None:
+                dE[:, :, k] = g
+            if h is not None:
+                dM[:, :, k, :d] += h
+                dM[:, :, :d, k] -= h
+
+        _jets_of(list(coefficients.values()), pts, take)
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
         dM[:, :, :d, d] = -dE

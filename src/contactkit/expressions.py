@@ -24,11 +24,17 @@ live nodes holds them weakly.  Each node caches the set of coordinates below
 it as a bit mask and its symbolic partial derivatives once computed, so
 ``free_coords``, ``constant_value`` and ``derivative`` cost the distinct
 nodes of an expression, not the nodes of the tree it writes out to
-(:meth:`ScalarExpr.node_counts` gives both).  Values are computed by a tape:
-the distinct nodes under one or more roots in topological order, each
-evaluated once with the same arithmetic and domain checks as a recursive
-walk, each intermediate dropped after its last use.  Jets are still computed
-by a recursive walk.
+(:meth:`ScalarExpr.node_counts` gives both).
+
+Values and jets are computed by one tape.  A single iterative compile of one
+or more roots lists their distinct nodes in topological order, with each
+node's operand steps and its last reader.  An order-0 loop over it computes
+values, an order-2 loop values, gradients and Hessians; both compute each
+distinct node once, with the arithmetic and domain checks of a recursive
+walk, and drop each array after its last reader, and the order-2 loop hands
+out each root's jet as soon as it is computed.  Symbolic differentiation and
+printing still recurse, so an expression deeper than the recursion limit
+evaluates and jets but does not differentiate or print.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import struct
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -102,25 +108,6 @@ class Jet2:
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-
-
-class _JetCtx:
-    """Evaluation context: a batch of points plus shared coordinate jets."""
-
-    __slots__ = ("points", "n", "dim", "_coord_grads")
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.n, self.dim = points.shape
-        self._coord_grads: dict[int, np.ndarray] = {}
-
-    def coord_grad(self, i: int) -> np.ndarray:
-        g = self._coord_grads.get(i)
-        if g is None:
-            g = np.zeros((self.n, self.dim))
-            g[:, i] = 1.0
-            self._coord_grads[i] = g
-        return g
 
 
 # grad/hess use None as a structural zero; combinators below keep that sparse.
@@ -216,11 +203,9 @@ class _Node:
     #: distinct per class; the first item of every intern key
     _tag: int
     level = _BASE
-    #: the operand nodes, evaluated in this order
-    operands: tuple = ()
-
-    def jet(self, ctx: _JetCtx):
-        raise NotImplementedError
+    #: the operand nodes, evaluated in this order; ``None`` where the class
+    #: has fewer than two
+    a = b = None
 
     def diff(self, i: int) -> "_Node":
         memo = self._diffs
@@ -271,9 +256,6 @@ class _Const(_Node):
         _TABLE[key] = _ref(node)
         return node
 
-    def jet(self, ctx):
-        return np.full(ctx.n, self.v), None, None
-
     def _diff(self, i):
         return _Const(0.0)
 
@@ -302,9 +284,6 @@ class _Coord(_Node):
         _TABLE[key] = _ref(node)
         return node
 
-    def jet(self, ctx):
-        return ctx.points[:, self.i], ctx.coord_grad(self.i), None
-
     def _diff(self, i):
         return _Const(1.0 if i == self.i else 0.0)
 
@@ -319,10 +298,6 @@ class _Unary(_Node):
     """A node with one operand ``a``."""
 
     __slots__ = ("a",)
-
-    @property
-    def operands(self):
-        return (self.a,)
 
 
 class _Neg(_Unary):
@@ -342,10 +317,6 @@ class _Neg(_Unary):
             _sweep()
         _TABLE[key] = _ref(node)
         return node
-
-    def jet(self, ctx):
-        v, g, h = self.a.jet(ctx)
-        return -v, _gscale(-1.0, g), _gscale(-1.0, h)
 
     def _diff(self, i):
         return _neg(self.a.diff(i))
@@ -374,20 +345,11 @@ class _Binary(_Node):
         _TABLE[key] = _ref(node)
         return node
 
-    @property
-    def operands(self):
-        return (self.a, self.b)
-
 
 class _Add(_Binary):
     __slots__ = ()
     _tag = 3
     level = _ADD
-
-    def jet(self, ctx):
-        va, ga, ha = self.a.jet(ctx)
-        vb, gb, hb = self.b.jet(ctx)
-        return va + vb, _gadd(ga, gb), _gadd(ha, hb)
 
     def _diff(self, i):
         return _add(self.a.diff(i), self.b.diff(i))
@@ -402,11 +364,6 @@ class _Add(_Binary):
 class _Sub(_Add):
     __slots__ = ()
     _tag = 4
-
-    def jet(self, ctx):
-        va, ga, ha = self.a.jet(ctx)
-        vb, gb, hb = self.b.jet(ctx)
-        return va - vb, _gsub(ga, gb), _gsub(ha, hb)
 
     def _diff(self, i):
         return _sub(self.a.diff(i), self.b.diff(i))
@@ -423,14 +380,6 @@ class _Mul(_Binary):
     _tag = 5
     level = _MUL
 
-    def jet(self, ctx):
-        va, ga, ha = self.a.jet(ctx)
-        vb, gb, hb = self.b.jet(ctx)
-        v = va * vb
-        g = _gadd(_gscale(va, gb), _gscale(vb, ga))
-        h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
-        return v, g, h
-
     def _diff(self, i):
         return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
 
@@ -445,24 +394,6 @@ class _Div(_Binary):
     __slots__ = ()
     _tag = 6
     level = _MUL
-
-    def _recip(self, ctx):
-        vb, gb, hb = self.b.jet(ctx)
-        if np.any(vb == 0.0):
-            raise EvalDomainError("division by zero during evaluation")
-        u = 1.0 / vb
-        u2 = u * u
-        g = _gscale(-u2, gb)
-        h = _gadd(_gscale(-u2, hb), _gscale(2.0 * u2 * u, _outer_self(gb)))
-        return u, g, h
-
-    def jet(self, ctx):
-        va, ga, ha = self.a.jet(ctx)
-        u, gu, hu = self._recip(ctx)
-        v = va * u
-        g = _gadd(_gscale(va, gu), _gscale(u, ga))
-        h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
-        return v, g, h
 
     def _diff(self, i):
         da, db = self.a.diff(i), self.b.diff(i)
@@ -505,20 +436,6 @@ class _Pow(_Unary):
         _TABLE[key] = _ref(node)
         return node
 
-    def jet(self, ctx):
-        k = self.k
-        va, ga, ha = self.a.jet(ctx)
-        if k < 0 and np.any(va == 0.0):
-            raise EvalDomainError("zero raised to a negative power")
-        v = va**k
-        c1 = _power_term(k, va, k - 1)
-        g = _gscale(c1, ga)
-        h = _gadd(
-            _gscale(c1, ha),
-            _gscale(_power_term(k * (k - 1), va, k - 2), _outer_self(ga)),
-        )
-        return v, g, h
-
     def _diff(self, i):
         return _mul(_mul(_Const(self.k), _pow(self.a, self.k - 1)), self.a.diff(i))
 
@@ -546,29 +463,6 @@ class _Call(_Unary):
             _sweep()
         _TABLE[key] = _ref(node)
         return node
-
-    def jet(self, ctx):
-        va, ga, ha = self.a.jet(ctx)
-        if self.fn == "sin":
-            v, d1, d2 = np.sin(va), np.cos(va), None
-        elif self.fn == "cos":
-            v, d1, d2 = np.cos(va), -np.sin(va), None
-        elif self.fn == "exp":
-            v = np.exp(va)
-            d1, d2 = v, v
-        else:  # sqrt
-            if np.any(va < 0.0):
-                raise EvalDomainError("sqrt of negative value")
-            if np.any(va == 0.0):
-                raise EvalDomainError("sqrt derivative undefined at zero")
-            v = np.sqrt(va)
-            d1 = 0.5 / v
-            d2 = -0.25 / (va * v)
-        if d2 is None:  # second derivative of sin/cos is -value
-            d2 = -v
-        g = _gscale(d1, ga)
-        h = _gadd(_gscale(d1, ha), _gscale(d2, _outer_self(ga)))
-        return v, g, h
 
     def _diff(self, i):
         da = self.a.diff(i)
@@ -666,90 +560,112 @@ def _pow(a: _Node, k: int) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# the DAG as a whole: schedule, substitution, evaluation tape
+# the DAG as a whole: compile, substitution, the tapes of orders 0 and 2
 # ---------------------------------------------------------------------------
 
 
-def _schedule(roots: Iterable[_Node]) -> list[_Node]:
-    """The distinct nodes under ``roots``, each once and after its operands.
+def _compile(
+    roots: Sequence[_Node],
+) -> tuple[list[_Node], list[int], list[int], list[int], list[int]]:
+    """The evaluation tape of ``roots``: ``(nodes, arg_a, arg_b, last, steps)``.
 
-    This is the order in which a recursive walk of the trees would first
-    finish each node.
+    ``nodes`` are the distinct nodes under ``roots``, each once and after its
+    operands, in the order in which a recursive walk of the trees would
+    first finish each.  For step ``k``, ``arg_a[k]`` and ``arg_b[k]`` are
+    the steps of its operands ``a`` and ``b`` and ``last[k]`` the last step
+    that reads it, each -1 where there is none; ``steps[r]`` is the step of
+    ``roots[r]``.  The walk keeps an explicit stack, so no depth is too
+    deep for it, and builds flat lists, no container per node.
     """
-    done: set[_Node] = set()
-    order: list[_Node] = []
+    step: dict = {None: -1}
+    nodes: list[_Node] = []
+    arg_a: list[int] = []
+    arg_b: list[int] = []
+    last: list[int] = []
+    stack: list[_Node] = []
+    # bound once: the walk is a tenth of a small expression's jets call
+    get, push, pop = step.get, stack.append, stack.pop
+    add_node, add_a, add_b, add_last = nodes.append, arg_a.append, arg_b.append, last.append
     for root in roots:
-        stack = [(root, False)]
+        push(root)
         while stack:
-            node, ready = stack.pop()
-            if node in done:
+            node = stack[-1]
+            if node in step:
+                pop()
                 continue
-            if ready:
-                done.add(node)
-                order.append(node)
+            a, b = get(node.a), get(node.b)
+            if a is None or b is None:
+                # operands first: a's subtree, then b's, then this node again
+                if b is None:
+                    push(node.b)
+                if a is None:
+                    push(node.a)
                 continue
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.operands) if c not in done)
-    return order
+            pop()
+            k = step[node] = len(nodes)
+            add_node(node)
+            add_a(a)
+            add_b(b)
+            add_last(-1)
+            if a >= 0:
+                last[a] = k
+            if b >= 0:
+                last[b] = k
+    return nodes, arg_a, arg_b, last, [step[root] for root in roots]
 
 
 def _subst(root: _Node, table: Sequence[_Node]) -> _Node:
     """``root`` with coordinate ``i`` replaced by ``table[i]``, one rebuild
     per distinct node."""
     done: dict[_Node, _Node] = {}
-    for node in _schedule((root,)):
+    for node in _compile((root,))[0]:
         done[node] = node.subst(done, table)
     return done[root]
 
 
 @np.errstate(all="ignore")
 def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
-    """The values of ``roots`` at ``points`` (n, dim), by an order-0 tape.
+    """The values of ``roots`` at ``points`` (n, dim), by the order-0 tape.
 
-    The tape is :func:`_schedule`'s order: each distinct node is computed
-    once from its operands' arrays, with a recursive walk's arithmetic
-    (``a / b``, ``a**k``) and domain checks, and an array is dropped after
-    the step that last reads it.  The returned arrays may be shared or
-    views of ``points``; callers copy them.  An overflow gives ``inf`` or
-    ``nan`` without a numpy warning, as in :meth:`ScalarExpr.jets`.
+    Each distinct node is computed once from its operands' arrays, with a
+    recursive walk's arithmetic (``a / b``, ``a**k``) and domain checks, and
+    an array is dropped after the step that last reads it.  The returned
+    arrays may be shared or views of ``points``; callers copy them.  An
+    overflow gives ``inf`` or ``nan`` without a numpy warning, as in
+    :func:`_jets_of`.
     """
-    nodes = _schedule(roots)
-    step = {node: k for k, node in enumerate(nodes)}
-    args = [tuple(step[c] for c in node.operands) for node in nodes]
-    last_read = {j: k for k, operands in enumerate(args) for j in operands}
-    for root in roots:
-        last_read.pop(step[root], None)
-    frees: list[list[int]] = [[] for _ in nodes]
-    for j, k in last_read.items():
-        frees[k].append(j)
+    nodes, arg_a, arg_b, last, steps = _compile(roots)
+    for k in steps:
+        last[k] = len(nodes)  # the roots are returned, never dropped
     n = len(points)
     vals: list = [None] * len(nodes)
-    for k, (node, x, dead) in enumerate(zip(nodes, args, frees)):
+    for k, node in enumerate(nodes):
+        a, b = arg_a[k], arg_b[k]
         t = type(node)
         if t is _Mul:
-            v = vals[x[0]] * vals[x[1]]
+            v = vals[a] * vals[b]
         elif t is _Add:
-            v = vals[x[0]] + vals[x[1]]
+            v = vals[a] + vals[b]
         elif t is _Sub:
-            v = vals[x[0]] - vals[x[1]]
+            v = vals[a] - vals[b]
         elif t is _Coord:
             v = points[:, node.i]
         elif t is _Const:
             v = np.full(n, node.v)
         elif t is _Pow:
-            va = vals[x[0]]
+            va = vals[a]
             if node.k < 0 and np.any(va == 0.0):
                 raise EvalDomainError("zero raised to a negative power")
             v = va**node.k
         elif t is _Neg:
-            v = -vals[x[0]]
+            v = -vals[a]
         elif t is _Div:
-            vb = vals[x[1]]
+            vb = vals[b]
             if np.any(vb == 0.0):
                 raise EvalDomainError("division by zero during evaluation")
-            v = vals[x[0]] / vb
+            v = vals[a] / vb
         else:
-            va = vals[x[0]]
+            va = vals[a]
             fn = node.fn
             if fn == "sin":
                 v = np.sin(va)
@@ -762,9 +678,120 @@ def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
                     raise EvalDomainError("sqrt of negative value")
                 v = np.sqrt(va)
         vals[k] = v
-        for j in dead:
-            vals[j] = None
-    return [vals[step[root]] for root in roots]
+        if a >= 0 and last[a] == k:
+            vals[a] = None
+        if b >= 0 and last[b] == k:
+            vals[b] = None
+    return [vals[k] for k in steps]
+
+
+@np.errstate(all="ignore")
+def _jets_of(
+    exprs: Sequence[ScalarExpr], points: np.ndarray, take: Callable[..., None]
+) -> None:
+    """The jets of several expressions over one chart at a batch of points,
+    from one order-2 tape.
+
+    Each distinct node's value, gradient and Hessian are computed once from
+    its operands' with a recursive walk's arithmetic, term for term, and
+    domain checks; ``None`` stands for an identically zero gradient or
+    Hessian, and a constant's value stays a scalar.  As soon as the tape has
+    computed ``exprs[r]`` it calls ``take(r, v, g, h)``, which must copy what
+    it keeps: the arrays may be shared or views of ``points``.  Afterwards,
+    as for every step, the tape keeps the arrays only until the last step
+    that reads them.  An overflow gives ``inf`` or ``nan`` without a numpy
+    warning, in ``take`` too.
+    """
+    if not exprs:
+        return
+    points = exprs[0]._check_points(points)
+    nodes, arg_a, arg_b, last, steps = _compile([e._root for e in exprs])
+    due = sorted(zip(steps, range(len(steps))))
+    due.append((-1, -1))
+    i = 0
+    n, dim = points.shape
+    V: list = [None] * len(nodes)
+    G: list = [None] * len(nodes)
+    H: list = [None] * len(nodes)
+    for k, node in enumerate(nodes):
+        a, b = arg_a[k], arg_b[k]
+        t = type(node)
+        if t is _Mul:
+            va, ga, ha = V[a], G[a], H[a]
+            vb, gb, hb = V[b], G[b], H[b]
+            v = va * vb
+            g = _gadd(_gscale(va, gb), _gscale(vb, ga))
+            h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
+        elif t is _Add:
+            v, g, h = V[a] + V[b], _gadd(G[a], G[b]), _gadd(H[a], H[b])
+        elif t is _Sub:
+            v, g, h = V[a] - V[b], _gsub(G[a], G[b]), _gsub(H[a], H[b])
+        elif t is _Coord:
+            v, g, h = points[:, node.i], np.zeros((n, dim)), None
+            g[:, node.i] = 1.0
+        elif t is _Const:
+            v, g, h = node.v, None, None
+        elif t is _Neg:
+            v, g, h = -V[a], _gscale(-1.0, G[a]), _gscale(-1.0, H[a])
+        elif t is _Div:
+            vb, gb, hb = V[b], G[b], H[b]
+            if np.any(vb == 0.0):
+                raise EvalDomainError("division by zero during evaluation")
+            u = 1.0 / vb
+            u2 = u * u
+            gu = _gscale(-u2, gb)
+            hu = _gadd(_gscale(-u2, hb), _gscale(2.0 * u2 * u, _outer_self(gb)))
+            va, ga, ha = V[a], G[a], H[a]
+            v = va * u
+            g = _gadd(_gscale(va, gu), _gscale(u, ga))
+            h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
+        else:
+            # powers and functions of a constant see it as an array, as
+            # numpy's array and scalar kernels need not round alike
+            va, ga, ha = V[a], G[a], H[a]
+            if not isinstance(va, np.ndarray):
+                va = np.full(n, va)
+            if t is _Pow:
+                e = node.k
+                if e < 0 and np.any(va == 0.0):
+                    raise EvalDomainError("zero raised to a negative power")
+                v = va**e
+                d1 = _power_term(e, va, e - 1)
+                g = _gscale(d1, ga)
+                h = _gadd(
+                    _gscale(d1, ha),
+                    _gscale(_power_term(e * (e - 1), va, e - 2), _outer_self(ga)),
+                )
+            else:
+                fn = node.fn
+                if fn == "sin":
+                    v, d1, d2 = np.sin(va), np.cos(va), None
+                elif fn == "cos":
+                    v, d1, d2 = np.cos(va), -np.sin(va), None
+                elif fn == "exp":
+                    v = np.exp(va)
+                    d1, d2 = v, v
+                else:  # sqrt
+                    if np.any(va < 0.0):
+                        raise EvalDomainError("sqrt of negative value")
+                    if np.any(va == 0.0):
+                        raise EvalDomainError("sqrt derivative undefined at zero")
+                    v = np.sqrt(va)
+                    d1 = 0.5 / v
+                    d2 = -0.25 / (va * v)
+                if d2 is None:  # second derivative of sin/cos is -value
+                    d2 = -v
+                g = _gscale(d1, ga)
+                h = _gadd(_gscale(d1, ha), _gscale(d2, _outer_self(ga)))
+        while due[i][0] == k:
+            take(due[i][1], v, g, h)
+            i += 1
+        if last[k] >= 0:
+            V[k], G[k], H[k] = v, g, h
+        if a >= 0 and last[a] == k:
+            V[a] = G[a] = H[a] = None
+        if b >= 0 and last[b] == k:
+            V[b] = G[b] = H[b] = None
 
 
 # ---------------------------------------------------------------------------
@@ -783,21 +810,21 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         if c in " \t\r\n":
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and source[i + 1].isdecimal()):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k].isdecimal():
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j].isdecimal():
                         j += 1
             tokens.append(("number", source[i:j], i))
             i = j
@@ -870,7 +897,7 @@ class _Parser:
                 sign = -1
             offset = tokens[self.pos][2]
             text = self.expect("number")
-            if not text.isdigit():
+            if not text.isdecimal():
                 raise ExprSyntaxError("exponent must be an integer", offset)
             node = _Pow(node, sign * int(text))
         return node
@@ -961,11 +988,11 @@ class ScalarExpr:
         """``(tree_nodes, distinct_nodes)``: the size of the expression written
         out as a tree, and the number of distinct nodes the evaluation tape
         visits.  Their ratio is the symbolic swell that interning removes."""
-        size: dict[_Node, int] = {}
-        order = _schedule((self._root,))
-        for node in order:
-            size[node] = 1 + sum(size[c] for c in node.operands)
-        return size[self._root], len(order)
+        nodes, arg_a, arg_b, _, _ = _compile((self._root,))
+        size = [0] * (len(nodes) + 1)  # a missing operand, -1, reads the last 0
+        for k in range(len(nodes)):
+            size[k] = 1 + size[arg_a[k]] + size[arg_b[k]]
+        return size[len(nodes) - 1], len(nodes)
 
     # -- evaluation -------------------------------------------------------
 
@@ -987,7 +1014,6 @@ class ScalarExpr:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.values(points)
 
-    @np.errstate(all="ignore")
     def jets(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched jets: values (n,), gradients (n,d), Hessians (n,d,d).
 
@@ -996,8 +1022,10 @@ class ScalarExpr:
         that need finite values check for them."""
         pts = self._check_points(points)
         n, d = pts.shape
-        v, g, h = self._root.jet(_JetCtx(pts))
-        v = np.asarray(v, dtype=float).reshape(n).copy()
+        got = []
+        _jets_of((self,), pts, lambda r, *jet: got.append(jet))
+        ((v, g, h),) = got
+        v = np.full(n, v)  # a fresh array, also from a scalar or a view
         g = np.zeros((n, d)) if g is None else g
         h = np.zeros((n, d, d)) if h is None else h
         return v, g, h

@@ -333,6 +333,28 @@ class TestBracketCommand:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "eta, f, message",
+        [
+            ("dz - y*dx", "x*²", "bad f expression 'x*²': unexpected character '²' at offset 2"),
+            ("dz - y*dx", "x^²", "bad f expression 'x^²': unexpected character '²' at offset 2"),
+            ("dz - ²*y*dx", "x", "bad 1-form 'dz - ²*y*dx': unexpected character '²'"),
+        ],
+    )
+    def test_superscript_digit_exits_usage(self, capsys, eta, f, message):
+        # '²'.isdigit() holds but float() and int() reject it
+        code, out, err = run_cli(capsys, "bracket", "x,y,z", eta, f, "z", "1,2,3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_sum_deeper_than_the_recursion_limit(self, capsys):
+        f = " + ".join(f"{i}*x" for i in range(1, 1500))
+        code, out, err = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", f, "z", "1,2,3")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("{f, g}(1, 2, 3) = 1124250\n")
+
 
 class TestClosedPipe:
     def test_closed_reader_is_not_a_check_failure(self):

@@ -586,7 +586,8 @@ def _distinct_structures(roots) -> int:
                 for field in ("v", "i", "name", "k", "fn")
                 if hasattr(node, field)
             )
-            key = (type(node).__name__, fields, tuple(name_of(c) for c in node.operands))
+            operands = tuple(name_of(c) for c in (node.a, node.b) if c is not None)
+            key = (type(node).__name__, fields, operands)
             hit = named[id(node)] = names.setdefault(key, len(names))
         return hit
 
@@ -600,7 +601,7 @@ def test_lifted_lie_derivative_swell_counts():
     written out as trees its 28 coefficients have 459,895 nodes; the shared
     evaluation tape visits its 3,441 distinct nodes once each."""
     from contactkit.charts import lie_derivative
-    from contactkit.expressions import _schedule
+    from contactkit.expressions import _compile
     from contactkit.models import build_model
 
     model = build_model("sphere_weighted(3,2,4,3,3)")
@@ -611,7 +612,7 @@ def test_lifted_lie_derivative_swell_counts():
     assert len(exprs) == 28
     assert sum(e.node_counts()[0] for e in exprs) == 459_895
     roots = [e._root for e in exprs]
-    tape = _schedule(roots)  # the nodes the values tape computes, in order
+    tape = _compile(roots)[0]  # the nodes the tapes compute, in order
     assert len(tape) == len(set(map(id, tape))) == 3_441
     assert _distinct_structures(roots) == 3_441
     assert all(1 < e.node_counts()[1] <= 3_441 for e in exprs)

@@ -110,6 +110,18 @@ def test_negative_exponent():
     assert e.values(np.array([2.0, 0.0, 0.0]))[0] == 0.25
 
 
+@pytest.mark.parametrize("source", ["x*²", "x^²", "²*y"])
+def test_superscript_digit_is_an_unexpected_character(source):
+    # '²'.isdigit() holds, but float() and int() reject it
+    with pytest.raises(ExprSyntaxError, match="unexpected character '²'"):
+        parse(source, XYZ)
+
+
+def test_other_decimal_digits_parse():
+    assert parse("٣*x", XYZ)._root is parse("3*x", XYZ)._root
+    assert parse("x^٣", XYZ)._root is parse("x^3", XYZ)._root
+
+
 # --- jets --------------------------------------------------------------------
 
 
@@ -202,6 +214,45 @@ def test_sqrt_domain():
     with pytest.raises(EvalDomainError):
         e.eval_jet2((0.0, 0.0, 0.0))  # derivative blows up at 0
     assert e.values(np.array([4.0, 0.0, 0.0]))[0] == 2.0
+
+
+def test_sum_deeper_than_the_recursion_limit():
+    import sys
+
+    terms = 1499
+    assert terms > sys.getrecursionlimit()
+    e = parse(" + ".join(f"{i}*x" for i in range(1, terms + 1)), XYZ)
+    pts = np.array([[1.0, 2.0, 3.0], [-2.0, 0.0, 1.0]])
+    total = terms * (terms + 1) / 2
+    assert e.values(pts).tolist() == [total, -2 * total]
+    v, g, h = e.jets(pts)
+    assert v.tolist() == [total, -2 * total]
+    assert g.tolist() == [[total, 0.0, 0.0]] * 2
+    assert not h.any()
+    assert e.node_counts() == (4 * terms - 1, 3 * terms)
+
+
+def test_tape_calls_leave_no_garbage():
+    # A tape that held a reference cycle (a self-referencing closure, say)
+    # would keep every call's nodes and arrays alive until the cyclic
+    # collector ran.
+    import gc
+
+    from contactkit.expressions import _jets_of
+
+    pts = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 2.0]])
+    gc.collect()
+    gc.disable()
+    try:
+        e = parse("sin(x)*exp(y)/(z^2 + 1) - sqrt(x^2 + 2)*y + 3 - 1/x^2", XYZ)
+        d = e.derivative("x")
+        gc.collect()
+        e.values(pts)
+        e.jets(pts)
+        _jets_of([d, e, d], pts, lambda r, v, g, h: None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hessian_built_symmetric():
@@ -408,7 +459,7 @@ def _reference(node, pts):
 
 
 def _tree_size(node):
-    return 1 + sum(_tree_size(c) for c in node.operands)
+    return 1 + sum(_tree_size(c) for c in (node.a, node.b) if c is not None)
 
 
 _CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0])
@@ -582,3 +633,207 @@ def test_derivatives_and_jets_match_sympy():
                 assert close(h[:, i, j], want2) and close(h[:, j, i], want2), (str(e), i, j)
                 second = e.derivative(name).derivative(XYZ[j]).values(pts)
                 assert close(second, want2), (str(e), i, j)
+
+
+# --- the order-2 tape against the recursive jet walk ----------------------------
+#
+# The jet walk the tape replaced, kept as a reference: written from the node
+# fields alone, it walks each expression as a tree, with its own copies of
+# the structural-zero combinators.  The tape must agree with it bit for bit,
+# including which gradients and Hessians are structurally zero (``None``),
+# and raise the same domain errors.
+
+
+def _ref_gadd(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _ref_gsub(a, b):
+    if a is None:
+        return None if b is None else -b
+    if b is None:
+        return a
+    return a - b
+
+
+def _ref_gscale(s, g):
+    if g is None:
+        return None
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        s = s[:, None] if g.ndim == 2 else s[:, None, None]
+    return s * g
+
+
+def _ref_outer_sym(g1, g2):
+    if g1 is None or g2 is None:
+        return None
+    m = np.einsum("ni,nj->nij", g1, g2)
+    return m + np.swapaxes(m, 1, 2)
+
+
+def _ref_outer_self(g):
+    if g is None:
+        return None
+    return np.einsum("ni,nj->nij", g, g)
+
+
+def _ref_power_term(c, va, e):
+    if c != 0 or e >= 0:
+        return c * va**e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(va == 0.0, 0.0, c * va**e)
+
+
+def _reference_jet(node, pts):
+    n, dim = pts.shape
+    name = type(node).__name__
+    if name == "_Const":
+        return np.full(n, node.v), None, None
+    if name == "_Coord":
+        g = np.zeros((n, dim))
+        g[:, node.i] = 1.0
+        return pts[:, node.i], g, None
+    if name == "_Neg":
+        v, g, h = _reference_jet(node.a, pts)
+        return -v, _ref_gscale(-1.0, g), _ref_gscale(-1.0, h)
+    if name == "_Pow":
+        k = node.k
+        va, ga, ha = _reference_jet(node.a, pts)
+        if k < 0 and np.any(va == 0.0):
+            raise EvalDomainError("zero raised to a negative power")
+        c1 = _ref_power_term(k, va, k - 1)
+        c2 = _ref_power_term(k * (k - 1), va, k - 2)
+        h = _ref_gadd(_ref_gscale(c1, ha), _ref_gscale(c2, _ref_outer_self(ga)))
+        return va**k, _ref_gscale(c1, ga), h
+    if name == "_Call":
+        va, ga, ha = _reference_jet(node.a, pts)
+        if node.fn == "sin":
+            v, d1, d2 = np.sin(va), np.cos(va), None
+        elif node.fn == "cos":
+            v, d1, d2 = np.cos(va), -np.sin(va), None
+        elif node.fn == "exp":
+            v = np.exp(va)
+            d1, d2 = v, v
+        else:
+            if np.any(va < 0.0):
+                raise EvalDomainError("sqrt of negative value")
+            if np.any(va == 0.0):
+                raise EvalDomainError("sqrt derivative undefined at zero")
+            v = np.sqrt(va)
+            d1 = 0.5 / v
+            d2 = -0.25 / (va * v)
+        if d2 is None:
+            d2 = -v
+        h = _ref_gadd(_ref_gscale(d1, ha), _ref_gscale(d2, _ref_outer_self(ga)))
+        return v, _ref_gscale(d1, ga), h
+    va, ga, ha = _reference_jet(node.a, pts)
+    vb, gb, hb = _reference_jet(node.b, pts)
+    if name == "_Add":
+        return va + vb, _ref_gadd(ga, gb), _ref_gadd(ha, hb)
+    if name == "_Sub":
+        return va - vb, _ref_gsub(ga, gb), _ref_gsub(ha, hb)
+    if name == "_Div":
+        # a * (1/b), with the jet of 1/b in place of b's
+        if np.any(vb == 0.0):
+            raise EvalDomainError("division by zero during evaluation")
+        u = 1.0 / vb
+        u2 = u * u
+        hb = _ref_gadd(_ref_gscale(-u2, hb), _ref_gscale(2.0 * u2 * u, _ref_outer_self(gb)))
+        vb, gb = u, _ref_gscale(-u2, gb)
+    else:
+        assert name == "_Mul", name
+    g = _ref_gadd(_ref_gscale(va, gb), _ref_gscale(vb, ga))
+    h = _ref_gadd(
+        _ref_gadd(_ref_gscale(va, hb), _ref_gscale(vb, ha)), _ref_outer_sym(ga, gb)
+    )
+    return va * vb, g, h
+
+
+def _jet_outcome(node, pts):
+    """The reference jet of ``node``, or the message of its domain error."""
+    with np.errstate(all="ignore"):
+        try:
+            return _reference_jet(node, pts)
+        except EvalDomainError as exc:
+            return str(exc)
+
+
+def _assert_same_jet(got, want, n):
+    v, g, h = got
+    assert np.full(n, v).tobytes() == want[0].tobytes()
+    for a, b in ((g, want[1]), (h, want[2])):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_JET_POINTS = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]), min_size=6, max_size=6
+)
+
+
+def _printed(e):
+    """``e`` printed and parsed: raw nodes, without the smart constructors'
+    folding, so constant operands of ``/``, ``^`` and ``*`` occur."""
+    return parse(str(e), XYZ)
+
+
+def _check_jet_tape(roots, pts):
+    """One multi-root tape call against the reference, root by root."""
+    from contactkit.expressions import _jets_of
+
+    want = [_jet_outcome(e._root, pts) for e in roots]
+    got = {}
+
+    def take(r, v, g, h):
+        assert r not in got
+        got[r] = (v, g, h)
+
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        # the first failing root in order raises first
+        with pytest.raises(EvalDomainError) as raised:
+            _jets_of(roots, pts, take)
+        assert str(raised.value) == errors[0]
+    else:
+        _jets_of(roots, pts, take)
+        assert sorted(got) == list(range(len(roots)))
+    for r, jet in got.items():
+        assert not isinstance(want[r], str)
+        _assert_same_jet(jet, want[r], len(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dag_exprs(), min_size=1, max_size=3), _JET_POINTS)
+def test_jet_tape_matches_recursive_reference(exprs, values):
+    # Roots that share subexpressions: printed copies, and a first root that
+    # reads later ones, so that they finish inside its walk; the last root
+    # repeats the first.
+    exprs = [*exprs, *map(_printed, exprs)]
+    whole = exprs[0] * exprs[-1] - exprs[len(exprs) // 2]
+    _check_jet_tape([whole, *exprs, whole], np.array(values).reshape(2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_jet_tape_matches_recursive_reference_on_functions(seed):
+    # sin, cos, exp and sqrt of random trees, as built and as printed
+    rng = np.random.default_rng(seed)
+    e = _random_expr(rng, XYZ, 3)
+    _check_jet_tape([e, _printed(e), -e], rng.uniform(-1.5, 1.5, size=(4, 3)))
+
+
+def test_jets_of_streams_each_root_when_computed():
+    from contactkit.expressions import _jets_of
+
+    e = parse("x*y - 2 + sin(z)", XYZ)
+    pts = np.array([[0.5, -1.0, 2.0]])
+    got = []
+    _jets_of([e, e.derivative("y")], pts, lambda r, *jet: got.append((r, jet)))
+    # d/dy of x*y is x, the first node of e's walk, so root 1 comes first
+    assert [r for r, _ in got] == [1, 0]
+    _assert_same_jet(got[1][1], e.jets(pts), 1)
