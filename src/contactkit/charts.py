@@ -3,7 +3,8 @@
 Forms are stored sparsely: a degree-k form maps strictly increasing k-tuples
 of coordinate indices to ScalarExpr coefficients.  Degree is capped at 3 —
 every identity the toolkit checks stays within that range (top-degree volume
-pairings go through a dedicated determinant route in the contact module).
+forms such as ``eta ^ (d eta)^n`` are decided by the determinant of the
+bordered contact matrix in the contact module, ``Pf(M)^2``).
 
 All operations build new symbolic coefficients via exact expression calculus;
 numbers only appear when a form or field is evaluated on a batch of points.

@@ -399,6 +399,10 @@ def cmd_verify(model_keys: Sequence[str], config: RunConfig, stream) -> int:
 def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
     chart = _parse_chart(args.chart)
     eta = parse_one_form(chart, args.eta)
+    try:
+        system = ContactSystem(chart, eta, verify=False)
+    except ValueError as exc:
+        raise UsageError(f"bad chart argument {args.chart!r}: {exc}") from None
     f = _parse_scalar(chart, args.f, "f")
     g = _parse_scalar(chart, args.g, "g")
     point = _parse_point(args.point, chart.dim)
@@ -410,7 +414,6 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
             expr.jets(point)
         except ExprError as exc:
             raise UsageError(f"{what} is undefined at ({point_text}): {exc}") from None
-    system = ContactSystem(chart, eta, verify=False)
     try:
         value = jacobi_bracket(system, f, g).at(point)
         residuals = {

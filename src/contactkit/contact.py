@@ -12,8 +12,9 @@ system square: with ``E`` the coefficients of eta and ``D`` the matrix of
 
     M [X; a] = [-dh; h].
 
-``M`` is antisymmetric and degree 1 in eta, and nonsingular exactly where
-the contact condition holds, so one batched inverse yields the field and its
+``M`` is antisymmetric and degree 1 in eta, and ``det M = Pf(M)^2 = (eta ^
+(d eta)^n / n!)^2``: it is the contact condition itself, and the contact
+verdict reads it.  One batched inverse then yields the field and its
 Reeb derivative together; the Reeb field is the ``h = 1`` case (``a = 0``).
 Spatial Jacobians of solved fields come from differentiating the linear
 system itself -- ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` -- never from
@@ -249,10 +250,11 @@ class ContactSystem:
     for models where one is available, and is never required -- all operations
     solve for the Reeb field pointwise.
 
-    ``verify`` (init-only, default True) runs the contact-condition check on
-    a small construction-time sample and raises :class:`ContactConditionError`
-    on failure.  Pass ``verify=False`` to build a deliberately degenerate
-    system, e.g. to demonstrate a failing :func:`is_contact_form`.
+    ``verify`` (init-only, default True) runs the contact-condition check of
+    :func:`is_contact_form` on a small construction-time sample and raises
+    :class:`ContactConditionError` on failure.  Pass ``verify=False`` to build
+    a deliberately degenerate system, e.g. to demonstrate a failing
+    :func:`is_contact_form`.
 
     The cones that :func:`contactkit.cone.build_cone` builds over the system
     are kept on it, one per radial bounds, for as long as a caller holds
@@ -289,7 +291,10 @@ class ContactSystem:
         if verify:
             # Apart from the shared slot, which keeps the running batch's
             # geometry and would otherwise keep this system alive.
-            check = _contact_check(self, VERIFY_SAMPLES, DEFAULT_SEED, None, shared=False)
+            pts = self.chart.sample(VERIFY_SAMPLES, DEFAULT_SEED)
+            threshold = TOLERANCES["contact_determinant"]
+            M = _Geometry(self, pts).M
+            check = _determinant_ratio_check("contact_condition", M, threshold, pts)
             if not check.passed:
                 raise ContactConditionError(
                     f"form on chart {self.chart.name!r} is not contact: "
@@ -354,9 +359,10 @@ class _Geometry:
     """The expression-independent data of one system at one set of points.
 
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
-    ``D[n, i, j] = dEta(e_i, e_j)``, and ``dM[n, k, row, col] = d_k M[row,
-    col]`` for the bordered matrix ``M = [[D^T, -E], [E^T, 0]]`` of the field
-    system.  ``inverse`` holds the pointwise ``M^-1``, computed on first use
+    ``D[n, i, j] = dEta(e_i, e_j)``, ``M`` the bordered matrix ``[[D^T, -E],
+    [E^T, 0]]`` of the field system, built here and nowhere else, and
+    ``dM[n, k, row, col] = d_k M[row, col]``.  The contact verdict reads
+    ``M``; ``inverse`` holds the pointwise ``M^-1``, computed on first use
     and guarded by :data:`SINGULAR_RATIO`.
 
     One geometry is shared by every frame on the same (system, points), so
@@ -387,6 +393,10 @@ class _Geometry:
         _jets_of(list(coefficients.values()), pts, take)
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
+        M = np.zeros((n, d + 1, d + 1))
+        M[:, :d, :d] = np.swapaxes(D, 1, 2)
+        M[:, :d, d] = -E
+        M[:, d, :d] = E
         dM[:, :, :d, d] = -dE
         dM[:, :, d, :d] = dE
         self.system = system
@@ -398,8 +408,9 @@ class _Geometry:
         self.E = E
         self.dE = dE
         self.D = D
+        self.M = M
         self.dM = dM
-        _read_only(self.points, E, dE, D, dM)
+        _read_only(self.points, E, dE, D, M, dM)
         self._inverse: np.ndarray | None = None
 
     # -- linear algebra ---------------------------------------------------
@@ -408,21 +419,16 @@ class _Geometry:
         """The pointwise inverse of ``M``; raises :class:`SingularSystemError`
         at the first point where ``M`` is singular or ill-conditioned."""
         if self._inverse is None:
-            n, d = self.points.shape
-            M = np.zeros((n, d + 1, d + 1))
-            M[:, :d, :d] = np.swapaxes(self.D, 1, 2)
-            M[:, :d, d] = -self.E
-            M[:, d, :d] = self.E
             try:
-                inverse = np.linalg.inv(M)
+                inverse = np.linalg.inv(self.M)
             except np.linalg.LinAlgError:
-                i = int(np.argmin(np.abs(np.linalg.slogdet(M)[0])))
+                i = int(np.argmin(np.abs(np.linalg.slogdet(self.M)[0])))
                 raise SingularSystemError(
                     self.points[i],
                     "the bordered contact matrix is singular; the contact condition fails here",
                 ) from None
             with np.errstate(all="ignore"):
-                cond = _norm1(M) * _norm1(inverse)
+                cond = _norm1(self.M) * _norm1(inverse)
             bad = ~(cond < 1.0 / SINGULAR_RATIO)
             if np.any(bad):
                 i = int(np.argmax(bad))
@@ -686,7 +692,9 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
 def _determinant_ratio_check(
     name: str, matrices: np.ndarray, threshold: float, points: np.ndarray
 ) -> CheckResult:
-    """Pointwise nondegeneracy of square ``matrices`` (n, d, d).
+    """Pointwise nondegeneracy of square ``matrices`` (n, d, d): the bordered
+    contact matrix ``M`` for ``contact_condition``, the matrix of the cone's
+    symplectic form for ``cone_nondegeneracy``.
 
     The verdict is the Hadamard ratio ``|det M| / prod_i |row_i M|``, which
     lies in [0, 1] and does not change when ``M`` is scaled, so ``threshold``
@@ -697,7 +705,7 @@ def _determinant_ratio_check(
 
     ``detail`` records the smallest ``|det M|`` as ``min_abs_determinant``,
     or, where that number over- or underflows a float (``1e150 * (dz - y
-    dx)`` has ``|det| = 1e450``), its natural log as
+    dx)`` has ``|det M| = 1e600``), its natural log as
     ``min_log_abs_determinant``, so that every recorded value is finite.
     """
     d = matrices.shape[-1]
@@ -720,38 +728,19 @@ def _determinant_ratio_check(
     return _make_result(name, residuals, 0.0, points, detail)
 
 
-def _contact_check(
-    system: ContactSystem,
-    samples: int,
-    seed: int,
-    tolerances: Mapping[str, float] | None,
-    shared: bool = True,
-) -> CheckResult:
-    """The ratio check on ``D + E E^T / |E|``.
-
-    The rank-one term fills the one-dimensional kernel of ``D`` with the
-    eta direction, so the matrix is nonsingular exactly where the contact
-    condition holds.  Dividing by ``|E|`` makes both terms degree 1 in eta,
-    so the verdict does not depend on the size of eta.
-    """
-    pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts, shared)
-    norm = np.linalg.norm(fr.E, axis=1)
-    norm = np.where(norm > 0.0, norm, 1.0)
-    rank_one = np.einsum("ni,nj->nij", fr.E, fr.E) / norm[:, None, None]
-    threshold = resolve_tolerance("contact_determinant", tolerances)
-    return _determinant_ratio_check("contact_condition", fr.D + rank_one, threshold, pts)
-
-
 def is_contact_form(
     system: ContactSystem,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
-    """Sampled contact-condition check: the Hadamard ratio of ``D + E E^T / |E|``
-    stays above the ``contact_determinant`` threshold at every sample."""
-    return _contact_check(system, samples, seed, tolerances)
+    """Sampled contact-condition check: the Hadamard ratio of the bordered
+    matrix ``M``, whose determinant is ``(eta ^ (d eta)^n / n!)^2``, stays
+    above the ``contact_determinant`` threshold at every sample."""
+    pts = system.chart.sample(samples, seed)
+    threshold = resolve_tolerance("contact_determinant", tolerances)
+    M = _Frame(system, pts).geometry.M
+    return _determinant_ratio_check("contact_condition", M, threshold, pts)
 
 
 def reeb_field(system: ContactSystem) -> HamiltonianFieldEvaluator:

@@ -33,8 +33,8 @@ values, an order-2 loop values, gradients and Hessians; both compute each
 distinct node once, with the arithmetic and domain checks of a recursive
 walk, and drop each array after its last reader, and the order-2 loop hands
 out each root's jet as soon as it is computed.  Symbolic differentiation and
-printing still recurse, so an expression deeper than the recursion limit
-evaluates and jets but does not differentiate or print.
+printing walk the DAG with explicit stacks too, so no expression is too deep
+to evaluate, jet, differentiate or print.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ class _Node:
     structurally equal expressions share one object and ``is`` is structural
     equality.  Nodes are immutable.  ``mask`` has bit ``i`` set when
     coordinate ``i`` occurs below the node; ``diff(i)`` is memoized on the
-    node and dies with it.
+    node and dies with it.  ``_diff`` and ``src`` are handed their operands'
+    derivatives and texts by the walks of ``diff`` and :func:`_source_text`.
     """
 
     __slots__ = ("mask", "_diffs", "__weakref__")
@@ -208,27 +209,52 @@ class _Node:
     a = b = None
 
     def diff(self, i: int) -> "_Node":
-        memo = self._diffs
-        if memo is None:
-            memo = self._diffs = {}
-        d = memo.get(i)
-        if d is None:
-            d = memo[i] = self._diff(i)
-        return d
+        # An explicit stack, so no depth is too deep; it descends only into
+        # operands whose memo lacks i, so _diff runs once per node and i.
+        stack: list = [self]
+        push, pop, ready = stack.append, stack.pop, _READY
+        while stack:
+            node = pop()
+            if node is ready:  # the operands below are done: this node's turn
+                node = pop()
+                b = node.b
+                d = node._diff(i, node.a._diffs[i], None if b is None else b._diffs[i])
+            elif i in (node._diffs or ()):
+                continue  # done already, or reached again through a shared operand
+            elif node.a is None:
+                d = node._diff(i, None, None)
+            else:
+                push(node)
+                push(ready)
+                if node.b is not None and i not in (node.b._diffs or ()):
+                    push(node.b)
+                if i not in (node.a._diffs or ()):
+                    push(node.a)
+                continue
+            if node._diffs is None:
+                node._diffs = {i: d}
+            else:
+                node._diffs[i] = d
+        return self._diffs[i]
 
-    def _diff(self, i: int) -> "_Node":
+    def _diff(self, i: int, da: "_Node | None", db: "_Node | None") -> "_Node":
         raise NotImplementedError
 
     def subst(self, done: Mapping["_Node", "_Node"], table: Sequence["_Node"]) -> "_Node":
         """This node rebuilt over the substituted operands in ``done``."""
         raise NotImplementedError
 
-    def src(self) -> str:
+    def src(self, sa: str | None, sb: str | None) -> str:
         raise NotImplementedError
 
-    def wrapped(self, minimum: int) -> str:
-        s = self.src()
-        return s if self.level >= minimum else f"({s})"
+
+#: Marks, on an explicit walk's stack, that the node below it has had its
+#: operands walked and is next.
+_READY = object()
+
+
+def _wrap(node: _Node, text: str, minimum: int) -> str:
+    return text if node.level >= minimum else f"({text})"
 
 
 def _fmt_number(v: float) -> str:
@@ -256,13 +282,13 @@ class _Const(_Node):
         _TABLE[key] = _ref(node)
         return node
 
-    def _diff(self, i):
+    def _diff(self, i, da, db):
         return _Const(0.0)
 
     def subst(self, done, table):
         return self
 
-    def src(self):
+    def src(self, sa, sb):
         return _fmt_number(self.v)  # negatives print as "-n", still a base
 
 
@@ -284,13 +310,13 @@ class _Coord(_Node):
         _TABLE[key] = _ref(node)
         return node
 
-    def _diff(self, i):
+    def _diff(self, i, da, db):
         return _Const(1.0 if i == self.i else 0.0)
 
     def subst(self, done, table):
         return table[self.i]
 
-    def src(self):
+    def src(self, sa, sb):
         return self.name
 
 
@@ -318,14 +344,14 @@ class _Neg(_Unary):
         _TABLE[key] = _ref(node)
         return node
 
-    def _diff(self, i):
-        return _neg(self.a.diff(i))
+    def _diff(self, i, da, db):
+        return _neg(da)
 
     def subst(self, done, table):
         return _neg(done[self.a])
 
-    def src(self):
-        return "-" + self.a.wrapped(_BASE)
+    def src(self, sa, sb):
+        return "-" + _wrap(self.a, sa, _BASE)
 
 
 class _Binary(_Node):
@@ -351,28 +377,28 @@ class _Add(_Binary):
     _tag = 3
     level = _ADD
 
-    def _diff(self, i):
-        return _add(self.a.diff(i), self.b.diff(i))
+    def _diff(self, i, da, db):
+        return _add(da, db)
 
     def subst(self, done, table):
         return _add(done[self.a], done[self.b])
 
-    def src(self):
-        return f"{self.a.wrapped(_ADD)} + {self.b.wrapped(_MUL)}"
+    def src(self, sa, sb):
+        return f"{_wrap(self.a, sa, _ADD)} + {_wrap(self.b, sb, _MUL)}"
 
 
 class _Sub(_Add):
     __slots__ = ()
     _tag = 4
 
-    def _diff(self, i):
-        return _sub(self.a.diff(i), self.b.diff(i))
+    def _diff(self, i, da, db):
+        return _sub(da, db)
 
     def subst(self, done, table):
         return _sub(done[self.a], done[self.b])
 
-    def src(self):
-        return f"{self.a.wrapped(_ADD)} - {self.b.wrapped(_MUL)}"
+    def src(self, sa, sb):
+        return f"{_wrap(self.a, sa, _ADD)} - {_wrap(self.b, sb, _MUL)}"
 
 
 class _Mul(_Binary):
@@ -380,14 +406,14 @@ class _Mul(_Binary):
     _tag = 5
     level = _MUL
 
-    def _diff(self, i):
-        return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
+    def _diff(self, i, da, db):
+        return _add(_mul(da, self.b), _mul(self.a, db))
 
     def subst(self, done, table):
         return _mul(done[self.a], done[self.b])
 
-    def src(self):
-        return f"{self.a.wrapped(_MUL)}*{self.b.wrapped(_POW)}"
+    def src(self, sa, sb):
+        return f"{_wrap(self.a, sa, _MUL)}*{_wrap(self.b, sb, _POW)}"
 
 
 class _Div(_Binary):
@@ -395,15 +421,14 @@ class _Div(_Binary):
     _tag = 6
     level = _MUL
 
-    def _diff(self, i):
-        da, db = self.a.diff(i), self.b.diff(i)
+    def _diff(self, i, da, db):
         return _sub(_div(da, self.b), _div(_mul(self.a, db), _pow(self.b, 2)))
 
     def subst(self, done, table):
         return _div(done[self.a], done[self.b])
 
-    def src(self):
-        return f"{self.a.wrapped(_MUL)}/{self.b.wrapped(_POW)}"
+    def src(self, sa, sb):
+        return f"{_wrap(self.a, sa, _MUL)}/{_wrap(self.b, sb, _POW)}"
 
 
 def _power_term(c: int, va, e: int):
@@ -436,14 +461,14 @@ class _Pow(_Unary):
         _TABLE[key] = _ref(node)
         return node
 
-    def _diff(self, i):
-        return _mul(_mul(_Const(self.k), _pow(self.a, self.k - 1)), self.a.diff(i))
+    def _diff(self, i, da, db):
+        return _mul(_mul(_Const(self.k), _pow(self.a, self.k - 1)), da)
 
     def subst(self, done, table):
         return _pow(done[self.a], self.k)
 
-    def src(self):
-        return f"{self.a.wrapped(_BASE)}^{self.k}"
+    def src(self, sa, sb):
+        return f"{_wrap(self.a, sa, _BASE)}^{self.k}"
 
 
 class _Call(_Unary):
@@ -464,8 +489,7 @@ class _Call(_Unary):
         _TABLE[key] = _ref(node)
         return node
 
-    def _diff(self, i):
-        da = self.a.diff(i)
+    def _diff(self, i, da, db):
         if self.fn == "sin":
             outer = _Call("cos", self.a)
         elif self.fn == "cos":
@@ -479,8 +503,8 @@ class _Call(_Unary):
     def subst(self, done, table):
         return _Call(self.fn, done[self.a])
 
-    def src(self):
-        return f"{self.fn}({self.a.src()})"
+    def src(self, sa, sb):
+        return f"{self.fn}({sa})"
 
 
 # smart constructors: light folding so derived expressions stay small
@@ -612,6 +636,29 @@ def _compile(
             if b >= 0:
                 last[b] = k
     return nodes, arg_a, arg_b, last, [step[root] for root in roots]
+
+
+def _source_text(root: _Node) -> str:
+    """The source text of ``root``, by an explicit stack: each node's text is
+    built from its operands' texts, which are dropped as it reads them."""
+    texts: list[str] = []
+    stack: list = [root]
+    push, pop, put, take = stack.append, stack.pop, texts.append, texts.pop
+    while stack:
+        node = pop()
+        if node is _READY:  # the operands' texts are on top, b's last
+            node = pop()
+            sb = None if node.b is None else take()
+            put(node.src(take(), sb))
+        elif node.a is None:
+            put(node.src(None, None))
+        else:
+            push(node)
+            push(_READY)
+            if node.b is not None:
+                push(node.b)
+            push(node.a)
+    return texts[0]
 
 
 def _subst(root: _Node, table: Sequence[_Node]) -> _Node:
@@ -961,13 +1008,13 @@ class ScalarExpr:
 
     @property
     def source(self) -> str:
-        return self._source if self._source is not None else self._root.src()
+        return self._source if self._source is not None else _source_text(self._root)
 
     def __str__(self) -> str:
-        return self._root.src()
+        return _source_text(self._root)
 
     def __repr__(self) -> str:
-        return f"ScalarExpr({self._root.src()!r})"
+        return f"ScalarExpr({_source_text(self._root)!r})"
 
     @property
     def free_coords(self) -> tuple[str, ...]:

@@ -349,11 +349,28 @@ class TestBracketCommand:
         assert message in err
         assert "Traceback" not in err
 
+    def test_even_dimensional_chart_exits_usage(self, capsys):
+        code, out, err = run_cli(capsys, "bracket", "x,y", "dy - x*dx", "x", "y", "1,2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: bad chart argument 'x,y': contact chart must be odd-dimensional, got dim 2\n"
+        )
+
     def test_sum_deeper_than_the_recursion_limit(self, capsys):
         f = " + ".join(f"{i}*x" for i in range(1, 1500))
         code, out, err = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", f, "z", "1,2,3")
         assert (code, err) == (EXIT_OK, "")
         assert out.startswith("{f, g}(1, 2, 3) = 1124250\n")
+
+    def test_records_print_a_sum_deeper_than_the_recursion_limit(self, capsys):
+        f = " + ".join(f"{i}*x" for i in range(1, 1500))
+        code, out, err = run_cli(
+            capsys, "bracket", "x,y,z", "dz - y*dx", f, "z", "1,2,3", "--format", "records"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        record = json.loads(out.splitlines()[0])
+        assert record["f"] == f
+        assert record["value"] == 1124250
 
 
 class TestClosedPipe:
@@ -450,11 +467,11 @@ class TestVerifyCommand:
     # its parent shows the same labels, verdicts and exit codes.
     GOLDENS = [
         (128, 20110615, "text", "51e98c3557eb827d"),
-        (128, 20110615, "records", "77b82e40aa2c9be8"),
+        (128, 20110615, "records", "ed11f6f24eef7396"),
         (128, 1, "text", "25f5589db93c096b"),
-        (128, 1, "records", "3425d106305d496e"),
+        (128, 1, "records", "d1f22aec8a95c050"),
         (128, 205, "text", "9479d631cfb595ea"),
-        (128, 205, "records", "aa95cb1747c9b112"),
+        (128, 205, "records", "c6f14a8925726a7f"),
         (4096, 20110615, "text", "5c97ab0a7ceb2ab2"),
     ]
 

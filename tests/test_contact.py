@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit import contact as contact_module
-from contactkit.charts import Chart, one_form
+from contactkit.charts import Chart, exterior_derivative, one_form, wedge
 from contactkit.contact import (
     TOLERANCES,
     CheckResult,
@@ -40,6 +40,7 @@ from contactkit.contact import (
     verify_flow_identity,
 )
 from contactkit.expressions import EvalDomainError, ScalarExpr, const, parse, random_polynomial
+from contactkit.models import build_model
 
 SEED = 20110615
 
@@ -90,20 +91,22 @@ def all_models():
 
 class TestContactCondition:
     def test_darboux_passes_with_unit_determinant(self):
-        # For eta = dz - y dx, det(D + E E^T / |E|) = 1 / sqrt(1 + y^2): the
-        # determinant of D + E E^T, which is 1, divided by |E|.
+        # The verdict reads the bordered matrix M = [[D^T, -E], [E^T, 0]],
+        # whose determinant is Pf(M)^2 = (eta ^ d eta)^2.  For eta = dz - y dx,
+        # d eta = dx ^ dy and eta ^ d eta = dz ^ dx ^ dy = dx ^ dy ^ dz, so
+        # det M = 1 at every point.
         system = darboux3()
         result = is_contact_form(system, samples=128, seed=SEED)
         assert result.passed
         assert result.samples == 128
-        y = system.chart.sample(128, SEED)[:, 1]
-        expected = float(np.min(1.0 / np.sqrt(1.0 + y**2)))
-        assert abs(result.detail["min_abs_determinant"] - expected) < 1e-12
+        assert abs(result.detail["min_abs_determinant"] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_records_stay_finite_at_extreme_scales(self, scale):
-        # |det| of the contact matrix scales like scale^3 and leaves the
-        # float range at both ends; the record carries its log instead.
+        # The bordered contact matrix M is 4 x 4 and degree 1 in eta, so
+        # |det M| = scale^4 det M(dz - y dx) = scale^4 (see the unit
+        # determinant above) and leaves the float range at both ends; the
+        # record carries its log instead.
         from contactkit.cone import build_cone, nondegeneracy_check
 
         chart = Chart("darboux3", ("x", "y", "z"))
@@ -117,10 +120,39 @@ class TestContactCondition:
             json.dumps(result.to_record(), allow_nan=False)
             assert "min_abs_determinant" not in result.detail
             assert np.isfinite(result.detail["min_log_abs_determinant"])
-        y = system.chart.sample(64, SEED)[:, 1]
-        expected = 3 * np.log(scale) + float(np.min(-0.5 * np.log1p(y**2)))
         got = is_contact_form(system, samples=64, seed=SEED).detail["min_log_abs_determinant"]
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(4 * np.log(scale), rel=1e-12)
+
+    @pytest.mark.parametrize("key", ["darboux(1)", "darboux(2)", "heisenberg(1)", "heisenberg(2)"])
+    def test_flat_models_have_unit_determinant(self, key):
+        # eta = dz - sum_j y_j dx_j: d eta = sum_j dx_j ^ dy_j, so
+        # (d eta)^n / n! = dx_1 ^ dy_1 ^ ... ^ dx_n ^ dy_n and
+        # eta ^ (d eta)^n / n! = +-(the coordinate volume); det M = Pf(M)^2 = 1.
+        system = build_model(key).system
+        pts = system.chart.sample(128, SEED)
+        M = contact_module._Geometry(system, pts).M
+        assert np.max(np.abs(np.linalg.det(M) - 1.0)) < 1e-12
+        result = is_contact_form(system, samples=128, seed=SEED)
+        assert abs(result.detail["min_abs_determinant"] - 1.0) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_determinant_is_the_squared_volume_coefficient(self, seed):
+        # det M = Pf(M)^2, and the Pfaffian of the bordered 4 x 4 matrix is
+        # E_x D_yz - E_y D_xz + E_z D_xy, the coefficient of eta ^ d eta.
+        # The coefficient comes here by the exterior calculus of the charts
+        # module, independently of M.  The error is taken relative to the
+        # product of M's row norms, the scale the Hadamard ratio divides by
+        # (it bounds |det M|); relative to det M alone it is unbounded near
+        # the zeros of eta ^ d eta.
+        chart = Chart("c3", ("x", "y", "z"))
+        rng = np.random.default_rng(seed)
+        eta = one_form(chart, {c: random_polynomial(chart.coords, 2, rng) for c in chart.coords})
+        volume = wedge(eta, exterior_derivative(eta)).coefficient((0, 1, 2))
+        pts = chart.sample(32, SEED)
+        M = contact_module._Geometry(ContactSystem(chart, eta, verify=False), pts).M
+        scale = np.prod(np.linalg.norm(M, axis=2), axis=1)
+        assert np.all(np.abs(np.linalg.det(M) - volume.values(pts) ** 2) <= 1e-12 * scale)
 
     def test_degenerate_form_fails_with_witness(self):
         result = is_contact_form(degenerate3(), samples=64, seed=SEED)
@@ -956,11 +988,27 @@ class TestSharedFrame:
         verify_flow_identity(first, h, f, samples=64, seed=SEED)
         assert len(inv_calls) == 5
 
+    def test_verdict_guard_and_solve_read_one_matrix(self, monkeypatch):
+        sys = darboux3()
+        read = []
+        check = contact_module._determinant_ratio_check
+        monkeypatch.setattr(
+            contact_module,
+            "_determinant_ratio_check",
+            lambda name, matrices, *rest: read.append(matrices) or check(name, matrices, *rest),
+        )
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: read.append(a) or inv(a))
+        assert is_contact_form(sys, seed=SEED).passed
+        assert reeb_defining_check(sys, seed=SEED).passed
+        assert len(read) == 2
+        assert read[0] is read[1] is contact_module._shared.M
+
     def test_shared_arrays_reject_writes(self):
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
         geometry = contact_module._shared
-        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.dM]
+        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.M, geometry.dM]
         shared += [geometry.inverse(), geometry.reeb()]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):

@@ -230,6 +230,38 @@ def test_sum_deeper_than_the_recursion_limit():
     assert g.tolist() == [[total, 0.0, 0.0]] * 2
     assert not h.any()
     assert e.node_counts() == (4 * terms - 1, 3 * terms)
+    assert e.derivative("x").constant_value() == total == 1124250
+    assert e.derivative("y").constant_value() == 0.0
+    printed = str(e)
+    assert printed == " + ".join(f"{i}*x" for i in range(1, terms + 1))
+    assert parse(printed, XYZ)._root is e._root
+
+
+def test_diff_does_not_descend_into_memoized_nodes(monkeypatch):
+    from contactkit import expressions
+
+    calls = []
+    for name in ("_Const", "_Coord", "_Neg", "_Add", "_Sub", "_Mul", "_Div", "_Pow", "_Call"):
+        cls = getattr(expressions, name)
+        original = vars(cls)["_diff"]
+
+        def counted(self, i, da, db, original=original):
+            calls.append(type(self).__name__)
+            return original(self, i, da, db)
+
+        monkeypatch.setattr(cls, "_diff", counted)
+    coords = ("memo_x", "memo_y", "memo_z")  # names no other live node uses
+    e = parse("sin(memo_x*memo_y) + memo_x^3/(1 + memo_z)", coords)
+    nodes = expressions._compile((e._root,))[0]
+    # each distinct node once, bar shared constants differentiated earlier
+    fresh = [n for n in nodes if not n._diffs or 0 not in n._diffs]
+    assert len(fresh) >= len(nodes) - 1
+    e.derivative("memo_x")
+    assert len(calls) == len(fresh)
+    calls.clear()
+    e.derivative("memo_x")
+    (e * e - e).derivative("memo_x")
+    assert calls == ["_Mul", "_Sub"]  # only the two new nodes
 
 
 def test_tape_calls_leave_no_garbage():

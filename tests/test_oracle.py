@@ -12,13 +12,15 @@ for ``(X, a)`` by mpmath LU.  For ``h = 1`` that is the Reeb field ``R``
 oracle also forms as ``dh(R)`` to tie the two solves together.  The Jacobi
 bracket is formed without any field Jacobian, as ``{f, g} = X_f g - g R f``
 (Cartan's formula applied to ``eta([X_f, X_g])``), so it checks the float
-solver's differentiated system rather than restating it.
+solver's differentiated system rather than restating it.  The contact
+verdict is checked against the same 50-digit ``M``: its determinant and its
+Hadamard ratio ``|det M| / prod_i |row_i M|``.
 """
 
 import numpy as np
 import pytest
 
-from contactkit.contact import hamiltonian_field, jacobi_bracket, reeb_field
+from contactkit.contact import hamiltonian_field, is_contact_form, jacobi_bracket, reeb_field
 from contactkit.expressions import random_polynomial
 from contactkit.models import build_model, default_model_keys
 
@@ -173,3 +175,20 @@ def test_jacobi_bracket_matches_exact_formula(model):
                 want.append(_pair(X_f, dg) - g_value * _pair(df, ex.reeb))
             err = _error(got, want)
         assert err <= BOUND, (system.name, str(f), str(g), err)
+
+
+def test_contact_verdict_matches_exact_determinant(model):
+    system, pts, exact = model
+    detail = is_contact_form(system, samples=POINTS, seed=SEED).detail
+    with mpmath.workdps(DIGITS):
+        dets, ratios = [], []
+        for ex in exact:
+            det = abs(mpmath.det(ex.M))
+            size = ex.M.rows
+            rows = [mpmath.norm([ex.M[r, c] for c in range(size)]) for r in range(size)]
+            dets.append(det)
+            ratios.append(det / mpmath.fprod(rows))
+        err_det = _error([detail["min_abs_determinant"]], [min(dets)])
+        err_ratio = _error([detail["min_determinant_ratio"]], [min(ratios)])
+    assert err_det <= BOUND, (system.name, err_det)
+    assert err_ratio <= BOUND, (system.name, err_ratio)
