@@ -316,7 +316,7 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
     # Held for the whole battery, so the facts that build the same cone
     # (example_3_10's lifts, scale covariance) reuse it with its lifts.
     cone = build_cone(model.system, verify=False)
-    entries = [(fact.name, fact.run(samples, seed)) for fact in model.expected]
+    entries = [(fact.name, fact.run(samples, seed, overrides)) for fact in model.expected]
     entries.append(("cone_closure", closure_check(cone, samples, seed, overrides)))
     entries.append(("cone_nondegeneracy", nondegeneracy_check(cone, samples, seed, overrides)))
     entries.append(("cone_homogeneity", homogeneity_check(cone, samples, seed, overrides)))

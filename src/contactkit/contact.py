@@ -319,16 +319,15 @@ class ContactSystem:
 
 @dataclass
 class _Solved:
-    """One function's data on a frame: jets, Reeb derivative, field, Jacobian.
+    """One function solved on a geometry: its value and gradient, its Reeb
+    derivative ``a``, its field and the field's Jacobian.
 
     ``X[n, i]`` are field components; ``dX[n, i, k] = d_k X^i``.
     """
 
     value: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
     a: np.ndarray
-    da: np.ndarray
     X: np.ndarray
     dX: np.ndarray
 
@@ -356,18 +355,22 @@ def _require_finite(what: str, points: np.ndarray, *arrays: np.ndarray) -> None:
 
 
 class _Geometry:
-    """The expression-independent data of one system at one set of points.
+    """One system at one set of points: eta's data, the bordered matrix, its
+    inverse, and the fields solved from them.
 
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
     ``D[n, i, j] = dEta(e_i, e_j)``, ``M`` the bordered matrix ``[[D^T, -E],
     [E^T, 0]]`` of the field system, built here and nowhere else, and
     ``dM[n, k, row, col] = d_k M[row, col]``.  The contact verdict reads
     ``M``; ``inverse`` holds the pointwise ``M^-1``, computed on first use
-    and guarded by :data:`SINGULAR_RATIO`.
+    and guarded by :data:`SINGULAR_RATIO`.  ``solved`` and the pointwise
+    quantities below read these arrays and keep nothing of the expressions
+    they are given.
 
-    One geometry is shared by every frame on the same (system, points), so
-    its arrays are read-only.  The lazy inverse is computed whole and then
-    assigned, so threads sharing a geometry at worst repeat that work.
+    The shared slot hands one geometry to every operation on the same
+    (system, points), so its arrays are read-only.  The lazy inverse is
+    computed whole and then assigned, so threads sharing a geometry at worst
+    repeat that work.
     """
 
     def __init__(self, system: ContactSystem, pts: np.ndarray) -> None:
@@ -441,31 +444,77 @@ class _Geometry:
             self._inverse = inverse
         return self._inverse
 
-    @np.errstate(all="ignore")
-    def solve_linear(self, h, dh, d2h):
-        """``(X, dX, a, da)``: the field with ``M [X; a] = [-dh; h]``, its
-        Reeb derivative ``a = R h`` and their Jacobians, from
-        ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]``.
+    def solved(self, expr: ScalarExpr) -> _Solved:
+        """The field of ``expr = h``: ``M [X; a] = [-dh; h]`` gives ``X`` and
+        its Reeb derivative ``a = R h``, and ``M d[X; a] = [-d^2 h; dh] -
+        (dM) [X; a]`` the Jacobian ``dX``.
 
         An overflow gives ``inf`` or ``nan`` entries without a numpy
         warning; callers that report a value check it is finite."""
-        inverse = self.inverse()
+        h, dh, d2h = expr.jets(self.points)
         n, d = self.points.shape
-        b = np.empty((n, d + 1))
-        b[:, :d] = -dh
-        b[:, d] = h
-        Y = (inverse @ b[:, :, None])[:, :, 0]
-        db = np.empty((n, d + 1, d))
-        db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
-        db[:, d, :] = dh
-        dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
-        return Y[:, :d], dY[:, :d, :], Y[:, d], dY[:, d, :]
+        with np.errstate(all="ignore"):
+            inverse = self.inverse()
+            b = np.empty((n, d + 1))
+            b[:, :d] = -dh
+            b[:, d] = h
+            Y = (inverse @ b[:, :, None])[:, :, 0]
+            db = np.empty((n, d + 1, d))
+            db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
+            db[:, d, :] = dh
+            dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
+        return _Solved(h, dh, Y[:, d], Y[:, :d], dY[:, :d, :])
 
     def reeb(self) -> np.ndarray:
         """The Reeb field: the ``h = 1`` solve, whose right-hand side is the
         last unit vector, so it is the last column of ``M^-1`` (read-only)."""
         d = self.points.shape[1]
         return self.inverse()[:, :d, d]
+
+    # -- pointwise quantities ---------------------------------------------
+
+    def eta_values(self, X: np.ndarray) -> np.ndarray:
+        return np.einsum("ni,ni->n", self.E, X)
+
+    def contraction(self, X: np.ndarray) -> np.ndarray:
+        """Covector of ``X -| dEta``, shape (n, dim)."""
+        return np.einsum("ni,nij->nj", X, self.D)
+
+    def bracket(self, s1: _Solved, s2: _Solved) -> np.ndarray:
+        """Jacobi bracket values ``eta([X_1, X_2])``."""
+        commutator = np.einsum("nj,nij->ni", s1.X, s2.dX) - np.einsum(
+            "nj,nij->ni", s2.X, s1.dX
+        )
+        return self.eta_values(commutator)
+
+    def two_form_pairing(self, s1: _Solved, s2: _Solved) -> np.ndarray:
+        """Values of ``dEta(X_1, X_2)``."""
+        return np.einsum("ni,nij,nj->n", s1.X, self.D, s2.X)
+
+    def lie_eta(self, s: _Solved) -> np.ndarray:
+        """Coefficients of the Lie derivative of eta along ``s.X``, (n, dim)."""
+        return np.einsum("ni,nij->nj", s.X, self.dE) + np.einsum(
+            "ni,nij->nj", self.E, s.dX
+        )
+
+    def defining_residuals(self, s: _Solved) -> dict[str, np.ndarray]:
+        """Per-sample residuals of the equations that define ``s.X``.
+
+        ``pairing``:     |eta(X) - h|
+        ``contraction``: max_j |(X -| dEta)_j - (a eta - dh)_j|
+        ``invariance``:  max_j |(Lie_X eta)_j - a eta_j|
+        """
+        a_eta = s.a[:, None] * self.E
+        return {
+            "pairing": np.abs(self.eta_values(s.X) - s.value),
+            "contraction": np.max(np.abs(self.contraction(s.X) - (a_eta - s.grad)), axis=1),
+            "invariance": np.max(np.abs(self.lie_eta(s) - a_eta), axis=1),
+        }
+
+
+def _directional(s_field: _Solved, s_fn: _Solved) -> np.ndarray:
+    """Values of the derivative of ``s_fn`` along ``s_field``."""
+    return np.einsum("ni,ni->n", s_field.X, s_fn.grad)
 
 
 def _norm1(matrices: np.ndarray) -> np.ndarray:
@@ -495,68 +544,6 @@ def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
     return geometry
 
 
-class _Frame:
-    """One call's view of (system, points): the shared geometry plus a
-    per-call cache of solved expressions, dropped with the frame, so the
-    shared slot never holds user expressions.  With ``shared=False`` the
-    geometry is built for this frame alone and the slot is left as it is."""
-
-    def __init__(self, system: ContactSystem, points, shared: bool = True) -> None:
-        pts, _ = _as_batch(points, system.chart.dim)
-        geometry = _shared_geometry(system, pts) if shared else _Geometry(system, pts)
-        self.geometry = geometry
-        self.system = system
-        self.points = geometry.points
-        self.E = geometry.E
-        self.dE = geometry.dE
-        self.D = geometry.D
-        self._cache: dict[int, tuple[ScalarExpr, _Solved]] = {}
-
-    # -- solved fields ----------------------------------------------------
-
-    def solved(self, expr: ScalarExpr) -> _Solved:
-        hit = self._cache.get(id(expr))
-        if hit is not None:
-            return hit[1]
-        h, dh, d2h = expr.jets(self.points)
-        X, dX, a, da = self.geometry.solve_linear(h, dh, d2h)
-        sol = _Solved(h, dh, d2h, a, da, X, dX)
-        self._cache[id(expr)] = (expr, sol)
-        return sol
-
-    # -- derived pointwise quantities -------------------------------------
-
-    def eta_values(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ni,ni->n", self.E, X)
-
-    def contraction(self, X: np.ndarray) -> np.ndarray:
-        """Covector of ``X -| dEta``, shape (n, dim)."""
-        return np.einsum("ni,nij->nj", X, self.D)
-
-    def commutator(self, s1: _Solved, s2: _Solved) -> np.ndarray:
-        return np.einsum("nj,nij->ni", s1.X, s2.dX) - np.einsum(
-            "nj,nij->ni", s2.X, s1.dX
-        )
-
-    def bracket(self, s1: _Solved, s2: _Solved) -> np.ndarray:
-        """Jacobi bracket values ``eta([X_1, X_2])``."""
-        return self.eta_values(self.commutator(s1, s2))
-
-    def directional(self, s_field: _Solved, s_fn: _Solved) -> np.ndarray:
-        """Values of the derivative of ``s_fn`` along ``s_field``."""
-        return np.einsum("ni,ni->n", s_field.X, s_fn.grad)
-
-    def two_form_pairing(self, s1: _Solved, s2: _Solved) -> np.ndarray:
-        """Values of ``dEta(X_1, X_2)``."""
-        return np.einsum("ni,nij,nj->n", s1.X, self.D, s2.X)
-
-    def lie_eta(self, s: _Solved) -> np.ndarray:
-        """Coefficients of the Lie derivative of eta along ``s.X``, (n, dim)."""
-        return np.einsum("ni,nij->nj", s.X, self.dE) + np.einsum(
-            "ni,nij->nj", self.E, s.dX
-        )
-
-
 # -- evaluators -----------------------------------------------------------
 
 
@@ -564,7 +551,7 @@ class HamiltonianFieldEvaluator:
     """Solver-backed vector field for one Hamiltonian function.
 
     Evaluates anywhere on the chart; the Reeb field is the ``hamiltonian = 1``
-    case.  Calls at the same points share the frame geometry (one inverse).
+    case.  Calls at the same points share the slot's geometry (one inverse).
     """
 
     def __init__(self, system: ContactSystem, hamiltonian: ScalarExpr):
@@ -573,41 +560,33 @@ class HamiltonianFieldEvaluator:
         self.system = system
         self.hamiltonian = hamiltonian
 
-    def evaluate(self, points) -> np.ndarray:
+    def _solved(self, points) -> tuple[_Geometry, _Solved, bool]:
         pts, single = _as_batch(points, self.system.chart.dim)
-        X = _Frame(self.system, pts).solved(self.hamiltonian).X
-        return X[0] if single else X
+        geometry = _shared_geometry(self.system, pts)
+        return geometry, geometry.solved(self.hamiltonian), single
+
+    def evaluate(self, points) -> np.ndarray:
+        _, s, single = self._solved(points)
+        return s.X[0] if single else s.X
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)
 
     def jacobian(self, points) -> np.ndarray:
         """``J[n, i, k] = d_k X^i`` (or ``(dim, dim)`` for a single point)."""
-        pts, single = _as_batch(points, self.system.chart.dim)
-        dX = _Frame(self.system, pts).solved(self.hamiltonian).dX
-        return dX[0] if single else dX
+        _, s, single = self._solved(points)
+        return s.dX[0] if single else s.dX
 
     def reeb_derivative(self, points) -> np.ndarray | float:
         """Values of the Reeb derivative of the Hamiltonian."""
-        pts, single = _as_batch(points, self.system.chart.dim)
-        a = _Frame(self.system, pts).solved(self.hamiltonian).a
-        return float(a[0]) if single else a
+        _, s, single = self._solved(points)
+        return float(s.a[0]) if single else s.a
 
     def residual_arrays(self, points) -> dict[str, np.ndarray]:
-        """Per-sample defining-equation residuals.
-
-        ``pairing``:     |eta(X) - h|
-        ``contraction``: max_j |(X -| dEta)_j - (a eta - dh)_j|
-        ``invariance``:  max_j |(Lie_X eta)_j - a eta_j|
-        """
-        pts, _ = _as_batch(points, self.system.chart.dim)
-        fr = _Frame(self.system, pts)
-        s = fr.solved(self.hamiltonian)
-        pairing = np.abs(fr.eta_values(s.X) - s.value)
-        target = s.a[:, None] * fr.E - s.grad
-        contraction = np.max(np.abs(fr.contraction(s.X) - target), axis=1)
-        invariance = np.max(np.abs(fr.lie_eta(s) - s.a[:, None] * fr.E), axis=1)
-        return {"pairing": pairing, "contraction": contraction, "invariance": invariance}
+        """Per-sample defining-equation residuals, as
+        :meth:`_Geometry.defining_residuals` names them."""
+        geometry, s, _ = self._solved(points)
+        return geometry.defining_residuals(s)
 
     def residuals(self, points) -> dict[str, float]:
         """Worst-case defining-equation residuals over ``points``."""
@@ -615,15 +594,16 @@ class HamiltonianFieldEvaluator:
 
 
 class ScalarEvaluator:
-    """A pointwise scalar derived from solved Hamiltonian fields."""
+    """A pointwise scalar derived from solved Hamiltonian fields, computed
+    from the geometry of the points it is evaluated at."""
 
-    def __init__(self, system: ContactSystem, compute: Callable[[_Frame], np.ndarray]):
+    def __init__(self, system: ContactSystem, compute: Callable[[_Geometry], np.ndarray]):
         self.system = system
         self._compute = compute
 
     def evaluate(self, points) -> np.ndarray | float:
         pts, single = _as_batch(points, self.system.chart.dim)
-        values = self._compute(_Frame(self.system, pts))
+        values = self._compute(_shared_geometry(self.system, pts))
         return float(values[0]) if single else values
 
     def __call__(self, points) -> np.ndarray | float:
@@ -634,7 +614,7 @@ class ScalarEvaluator:
         nothing, so it is built apart and the slot keeps the geometry of the
         batch checks around the call."""
         pts, _ = _as_batch(np.asarray(point, dtype=float).reshape(-1), self.system.chart.dim)
-        return float(self._compute(_Frame(self.system, pts, shared=False))[0])
+        return float(self._compute(_Geometry(self.system, pts))[0])
 
 
 class IsotropyDefectEvaluator(ScalarEvaluator):
@@ -659,19 +639,17 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
         self._witness: tuple[float, ...] | None = None
         super().__init__(system, self._defect)
 
-    def _defect(self, fr: _Frame) -> np.ndarray:
-        sh = fr.solved(self.h)
-        sf = fr.solved(self.f)
-        defect = fr.two_form_pairing(sh, sf)
-        expansion = (
-            fr.directional(sh, sf) - fr.directional(sf, sh) - fr.bracket(sh, sf)
-        )
+    def _defect(self, geometry: _Geometry) -> np.ndarray:
+        sh = geometry.solved(self.h)
+        sf = geometry.solved(self.f)
+        defect = geometry.two_form_pairing(sh, sf)
+        expansion = _directional(sh, sf) - _directional(sf, sh) - geometry.bracket(sh, sf)
         cross = np.abs(defect - expansion)
         i = int(np.argmax(cross))
         if cross[i] >= self._max_cross:
             self._max_cross = float(cross[i])
-            self._witness = tuple(float(c) for c in fr.points[i])
-        self._seen += len(fr.points)
+            self._witness = tuple(float(c) for c in geometry.points[i])
+        self._seen += len(geometry.points)
         return defect
 
     @property
@@ -739,7 +717,7 @@ def is_contact_form(
     above the ``contact_determinant`` threshold at every sample."""
     pts = system.chart.sample(samples, seed)
     threshold = resolve_tolerance("contact_determinant", tolerances)
-    M = _Frame(system, pts).geometry.M
+    M = _shared_geometry(system, pts).M
     return _determinant_ratio_check("contact_condition", M, threshold, pts)
 
 
@@ -755,7 +733,7 @@ def hamiltonian_field(system: ContactSystem, h: ScalarExpr) -> HamiltonianFieldE
 
 def jacobi_bracket(system: ContactSystem, f: ScalarExpr, g: ScalarExpr) -> ScalarEvaluator:
     """Pointwise values of ``eta([X_f, X_g])``; antisymmetric in (f, g)."""
-    return ScalarEvaluator(system, lambda fr: fr.bracket(fr.solved(f), fr.solved(g)))
+    return ScalarEvaluator(system, lambda geo: geo.bracket(geo.solved(f), geo.solved(g)))
 
 
 def is_good(
@@ -767,7 +745,7 @@ def is_good(
 ) -> CheckResult:
     """Whether the Reeb derivative of ``h`` vanishes at all samples."""
     pts = system.chart.sample(samples, seed)
-    s = _Frame(system, pts).solved(h)
+    s = _shared_geometry(system, pts).solved(h)
     tol = resolve_tolerance("goodness", tolerances)
     return _make_result("goodness", np.abs(s.a), tol, pts, {"function": str(h)})
 
@@ -782,8 +760,7 @@ def is_first_integral(
 ) -> CheckResult:
     """Whether ``f`` is constant along the field of ``h`` at all samples."""
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    sh = fr.solved(h)
+    sh = _shared_geometry(system, pts).solved(h)
     _, f_grad, _ = f.jets(pts)
     residuals = np.abs(np.einsum("ni,ni->n", sh.X, f_grad))
     tol = resolve_tolerance("first_integral", tolerances)
@@ -801,10 +778,10 @@ def verify_flow_identity(
 ) -> CheckResult:
     """Residual of ``X_h f = (R h) f + {h, f}`` at all samples."""
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    sh = fr.solved(h)
-    sf = fr.solved(f)
-    residuals = np.abs(fr.directional(sh, sf) - sh.a * sf.value - fr.bracket(sh, sf))
+    geometry = _shared_geometry(system, pts)
+    sh = geometry.solved(h)
+    sf = geometry.solved(f)
+    residuals = np.abs(_directional(sh, sf) - sh.a * sf.value - geometry.bracket(sh, sf))
     tol = resolve_tolerance("flow_identity", tolerances)
     detail = {"hamiltonian": str(h), "function": str(f)}
     return _make_result("flow_identity", residuals, tol, pts, detail)
@@ -833,13 +810,13 @@ def involution_table(
         raise ValueError("involution table needs at least two functions")
     tol = resolve_tolerance("involution", tolerances)
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    sols = [fr.solved(f) for f in fns]
+    geometry = _shared_geometry(system, pts)
+    sols = [geometry.solved(f) for f in fns]
     table: list[list[CheckResult]] = []
     for i, si in enumerate(sols):
         row = []
         for j, sj in enumerate(sols):
-            residuals = np.abs(fr.bracket(si, sj))
+            residuals = np.abs(geometry.bracket(si, sj))
             detail = {"pair": [str(fns[i]), str(fns[j])]}
             row.append(_make_result(f"involution[{i},{j}]", residuals, tol, pts, detail))
         table.append(row)
@@ -860,8 +837,8 @@ def independence_rank(
         raise ValueError("independence rank needs at least one function")
     rel = resolve_tolerance("rank_svd", tolerances)
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    return _pointwise_rank(np.stack([fr.solved(f).X for f in fns], axis=2), rel, pts)
+    geometry = _shared_geometry(system, pts)
+    return _pointwise_rank(np.stack([geometry.solved(f).X for f in fns], axis=2), rel, pts)
 
 
 def _pointwise_rank(columns: np.ndarray, rel: float, points: np.ndarray) -> tuple[int, float]:
@@ -923,23 +900,23 @@ def classify_system(
     dense = resolve_tolerance("dense_fraction", tolerances)
 
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    sols = [fr.solved(f) for f in family]
+    geometry = _shared_geometry(system, pts)
+    sols = [geometry.solved(f) for f in family]
     sh = sols[0]
 
     first_integral_residual = max(
-        float(np.max(np.abs(fr.directional(sh, s)))) for s in sols
+        float(np.max(np.abs(_directional(sh, s)))) for s in sols
     )
     involution_residual = 0.0
     for i, si in enumerate(sols):
         for sj in sols[i + 1 :]:
             involution_residual = max(
-                involution_residual, float(np.max(np.abs(fr.bracket(si, sj))))
+                involution_residual, float(np.max(np.abs(geometry.bracket(si, sj))))
             )
     max_rank, rank_fraction = _pointwise_rank(np.stack([s.X for s in sols], axis=2), rel, pts)
 
     goodness_residuals = [float(np.max(np.abs(s.a))) for s in sols]
-    lie_residuals = [float(np.max(np.abs(fr.lie_eta(s)))) for s in sols]
+    lie_residuals = [float(np.max(np.abs(geometry.lie_eta(s)))) for s in sols]
 
     integrable = (
         first_integral_residual <= tol_fi
@@ -995,12 +972,12 @@ def conformal_bracket_law(
     rescaled = ContactSystem(
         system.chart, system.eta.scaled(conformal_factor), verify=False
     )
-    fr_rescaled = _Frame(rescaled, pts)
-    lhs = fr_rescaled.bracket(fr_rescaled.solved(g), fr_rescaled.solved(h))
-    fr = _Frame(system, pts)
+    rescaled_geometry = _shared_geometry(rescaled, pts)
+    lhs = rescaled_geometry.bracket(rescaled_geometry.solved(g), rescaled_geometry.solved(h))
+    geometry = _shared_geometry(system, pts)
     g_over = g / conformal_factor
     h_over = h / conformal_factor
-    rhs = factor_values * fr.bracket(fr.solved(g_over), fr.solved(h_over))
+    rhs = factor_values * geometry.bracket(geometry.solved(g_over), geometry.solved(h_over))
     tol = resolve_tolerance("conformal_law", tolerances)
     detail = {"factor": str(conformal_factor), "g": str(g), "h": str(h)}
     return _make_result("conformal_bracket_law", np.abs(lhs - rhs), tol, pts, detail)
@@ -1152,10 +1129,10 @@ def reeb_defining_check(
 ) -> CheckResult:
     """Worst residual of the two Reeb defining equations at samples."""
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    R = fr.geometry.reeb()
-    pairing = np.abs(fr.eta_values(R) - 1.0)
-    contraction = np.max(np.abs(fr.contraction(R)), axis=1)
+    geometry = _shared_geometry(system, pts)
+    R = geometry.reeb()
+    pairing = np.abs(geometry.eta_values(R) - 1.0)
+    contraction = np.max(np.abs(geometry.contraction(R)), axis=1)
     residuals = np.maximum(pairing, contraction)
     tol = resolve_tolerance("reeb_defining", tolerances)
     return _make_result("reeb_defining", residuals, tol, pts)
@@ -1170,24 +1147,13 @@ def hamiltonian_contract_checks(
 ) -> tuple[CheckResult, CheckResult]:
     """Pairing and eta-invariance residuals of the field of ``h``."""
     pts = system.chart.sample(samples, seed)
-    fr = _Frame(system, pts)
-    s = fr.solved(h)
-    pairing = np.abs(fr.eta_values(s.X) - s.value)
-    invariance = np.max(np.abs(fr.lie_eta(s) - s.a[:, None] * fr.E), axis=1)
+    geometry = _shared_geometry(system, pts)
+    residuals = geometry.defining_residuals(geometry.solved(h))
     detail = {"hamiltonian": str(h)}
-    return (
-        _make_result(
-            "hamiltonian_pairing",
-            pairing,
-            resolve_tolerance("hamiltonian_pairing", tolerances),
-            pts,
-            detail,
-        ),
-        _make_result(
-            "hamiltonian_invariance",
-            invariance,
-            resolve_tolerance("hamiltonian_invariance", tolerances),
-            pts,
-            detail,
-        ),
+    return tuple(
+        _make_result(name, residuals[key], resolve_tolerance(name, tolerances), pts, detail)
+        for name, key in (
+            ("hamiltonian_pairing", "pairing"),
+            ("hamiltonian_invariance", "invariance"),
+        )
     )

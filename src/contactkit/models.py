@@ -23,7 +23,7 @@ and from the command line:
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +66,9 @@ SOURCE_DEFINITION = "definition"
 SOURCE_HAND = "hand computation"
 SOURCE_CONSTRUCTION = "construction"
 
+#: The per-run tolerance overrides an expected fact passes to the operations.
+Tolerances = Mapping[str, float] | None
+
 
 @dataclass(frozen=True)
 class ExpectedFact:
@@ -74,12 +77,13 @@ class ExpectedFact:
     ``source`` records how the expectation is known: ``"definition"`` for the
     defining equations themselves, ``"hand computation"`` for closed forms
     worked out by hand, ``"construction"`` for properties built into the
-    chart.  ``run(samples, seed)`` evaluates the property numerically.
+    chart.  ``run(samples, seed, tolerances=None)`` evaluates the property
+    numerically; ``tolerances`` overrides the registry tolerances it uses.
     """
 
     name: str
     source: str
-    run: Callable[[int, int], CheckResult]
+    run: Callable[..., CheckResult]
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def _contact_fact(system: ContactSystem) -> ExpectedFact:
     return ExpectedFact(
         "contact_condition",
         SOURCE_DEFINITION,
-        lambda samples, seed: is_contact_form(system, samples=samples, seed=seed),
+        lambda samples, seed, tolerances=None: is_contact_form(system, samples, seed, tolerances),
     )
 
 
@@ -136,7 +140,9 @@ def _reeb_defining_fact(system: ContactSystem) -> ExpectedFact:
     return ExpectedFact(
         "reeb_defining",
         SOURCE_DEFINITION,
-        lambda samples, seed: reeb_defining_check(system, samples=samples, seed=seed),
+        lambda samples, seed, tolerances=None: reeb_defining_check(
+            system, samples, seed, tolerances
+        ),
     )
 
 
@@ -148,10 +154,10 @@ def _field_match_fact(
     expected: VectorField,
     tolerance_name: str = "reeb_defining",
 ) -> ExpectedFact:
-    def run(samples: int, seed: int) -> CheckResult:
+    def run(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         pts = system.chart.sample(samples, seed)
         residuals = np.max(np.abs(solved(pts) - expected.evaluate(pts)), axis=1)
-        return _make_result(name, residuals, resolve_tolerance(tolerance_name), pts)
+        return _make_result(name, residuals, resolve_tolerance(tolerance_name, tolerances), pts)
 
     return ExpectedFact(name, source, run)
 
@@ -164,8 +170,8 @@ def _reeb_closed_form_fact(system: ContactSystem) -> ExpectedFact:
 
 
 def _classification_fact(system: ContactSystem, expected: tuple[bool, bool, bool, bool]) -> ExpectedFact:
-    def run(samples: int, seed: int) -> CheckResult:
-        record = classify_system(system, samples=samples, seed=seed)
+    def run(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
+        record = classify_system(system, samples, seed, tolerances)
         got = (
             record.completely_integrable_witnessed,
             record.good,
@@ -209,7 +215,7 @@ def darboux(n: int) -> ModelDescriptor:
     ]
     translations = [basis_field(chart, f"q{i}") for i in range(1, n + 1)]
 
-    def bracket_relations(samples: int, seed: int) -> CheckResult:
+    def bracket_relations(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         pts = chart.sample(samples, seed)
         residuals = np.zeros(len(pts))
         fields = [("A", shears), ("B", translations)]
@@ -231,7 +237,9 @@ def darboux(n: int) -> ModelDescriptor:
                     residuals = np.maximum(residuals, np.max(np.abs(got), axis=1))
         return _make_result("nilpotent_bracket_relations", residuals, 1e-12, pts)
 
-    def momentum_translations_not_contact(samples: int, seed: int) -> CheckResult:
+    def momentum_translations_not_contact(
+        samples: int, seed: int, tolerances: Tolerances = None
+    ) -> CheckResult:
         # eta wedge (L_{d/dp_i} eta) must be bounded away from zero: the
         # momentum translations move the contact form in an essential way.
         floor = 1e-6
@@ -310,7 +318,7 @@ def heisenberg(n: int) -> ModelDescriptor:
     )
     rotations = [_heisenberg_rotation(chart, j) for j in range(1, n + 1)]
 
-    def rotation_fields(samples: int, seed: int) -> CheckResult:
+    def rotation_fields(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         pts = chart.sample(samples, seed)
         residuals = np.zeros(len(pts))
         for j, expected in enumerate(rotations, start=1):
@@ -321,13 +329,15 @@ def heisenberg(n: int) -> ModelDescriptor:
         return _make_result(
             "rotation_fields_closed_form",
             residuals,
-            resolve_tolerance("hamiltonian_pairing"),
+            resolve_tolerance("hamiltonian_pairing", tolerances),
             pts,
         )
 
-    def duplicate_constant_rank(samples: int, seed: int) -> CheckResult:
+    def duplicate_constant_rank(
+        samples: int, seed: int, tolerances: Tolerances = None
+    ) -> CheckResult:
         degenerate = (family[0], chart.parse("1")) + family[2:]
-        rank, _ = independence_rank(system, degenerate, samples=samples, seed=seed)
+        rank, _ = independence_rank(system, degenerate, samples, seed, tolerances)
         return _verdict(
             "duplicate_constant_rank_drop",
             rank == n,
@@ -399,8 +409,8 @@ def cosphere_torus(n: int) -> ModelDescriptor:
         name=chart.name,
     )
 
-    def momentum_rank(samples: int, seed: int) -> CheckResult:
-        rank, fraction = independence_rank(system, family, samples=samples, seed=seed)
+    def momentum_rank(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
+        rank, fraction = independence_rank(system, family, samples, seed, tolerances)
         return _verdict(
             "momentum_family_rank",
             rank == n + 1 and fraction == 1.0,
@@ -408,9 +418,9 @@ def cosphere_torus(n: int) -> ModelDescriptor:
             {"rank": rank, "fraction": fraction, "expected_rank": n + 1},
         )
 
-    def redundant_rank_cap(samples: int, seed: int) -> CheckResult:
+    def redundant_rank_cap(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         rank, fraction = independence_rank(
-            system, (family[0], p0) + family[1:], samples=samples, seed=seed
+            system, (family[0], p0) + family[1:], samples, seed, tolerances
         )
         return _verdict(
             "redundant_family_rank_cap",
@@ -466,8 +476,8 @@ def basic_example() -> ModelDescriptor:
     translation = basis_field(chart, "x")
     dilation = vector_field(chart, {"y": "y", "z": "z"})
 
-    def defect_is_y(samples: int, seed: int) -> CheckResult:
-        evaluator = isotropy_defect(system, h, f)
+    def defect_is_y(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
+        evaluator = isotropy_defect(system, h, f, tolerances)
         pts = chart.sample(samples, seed)
         residuals = np.abs(evaluator.evaluate(pts) - pts[:, chart.index("y")])
         spot = evaluator.at((1.0, 2.0, 3.0))
@@ -475,19 +485,19 @@ def basic_example() -> ModelDescriptor:
         return _make_result(
             "isotropy_defect_matches",
             residuals,
-            resolve_tolerance("isotropy_identity"),
+            resolve_tolerance("isotropy_identity", tolerances),
             pts,
             {"value_at_1_2_3": spot},
         )
 
-    def involution_pair(samples: int, seed: int) -> CheckResult:
+    def involution_pair(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         pts = chart.sample(samples, seed)
         values = np.abs(jacobi_bracket(system, h, f).evaluate(pts))
         return _make_result(
-            "involution_pair", values, resolve_tolerance("involution"), pts
+            "involution_pair", values, resolve_tolerance("involution", tolerances), pts
         )
 
-    def cone_lifts(samples: int, seed: int) -> CheckResult:
+    def cone_lifts(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         cone = cone_mod.build_cone(system)
         pts = cone.cone_chart.sample(samples, seed)
         residuals = np.zeros(len(pts))
@@ -495,17 +505,19 @@ def basic_example() -> ModelDescriptor:
             (translation, h, {"x": "1"}),
             (dilation, f, {"y": "y", "z": "z", "r": "-r / 2"}),
         ):
-            lifted = cone_mod.lift(cone, base_field, hamiltonian, verify=False)
+            lifted = cone_mod.lift(
+                cone, base_field, hamiltonian, tolerances=tolerances, verify=False
+            )
             target = vector_field(cone.cone_chart, expected)
             residuals = np.maximum(
                 residuals,
                 np.max(np.abs(lifted.evaluate(pts) - target.evaluate(pts)), axis=1),
             )
         return _make_result(
-            "cone_lifts", residuals, resolve_tolerance("lift_invariance"), pts
+            "cone_lifts", residuals, resolve_tolerance("lift_invariance", tolerances), pts
         )
 
-    def cone_hamiltonians(samples: int, seed: int) -> CheckResult:
+    def cone_hamiltonians(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         cone = cone_mod.build_cone(system)
         pts = cone.cone_chart.sample(samples, seed)
         residuals = np.zeros(len(pts))
@@ -514,7 +526,7 @@ def basic_example() -> ModelDescriptor:
             (dilation, f, "r^2 * z"),
         ):
             induced, contraction = cone_mod.cone_hamiltonian(
-                cone, base_field, hamiltonian, samples=samples, seed=seed
+                cone, base_field, hamiltonian, samples, seed, tolerances
             )
             expected = parse(expected_source, cone.cone_chart.coords)
             residuals = np.maximum(
@@ -522,7 +534,10 @@ def basic_example() -> ModelDescriptor:
             )
             residuals = np.maximum(residuals, contraction.max_residual)
         return _make_result(
-            "cone_hamiltonians", residuals, resolve_tolerance("cone_contraction"), pts
+            "cone_hamiltonians",
+            residuals,
+            resolve_tolerance("cone_contraction", tolerances),
+            pts,
         )
 
     facts = (
@@ -629,7 +644,7 @@ def sphere_weighted(n: int, weights: Sequence[int]) -> ModelDescriptor:
     reeb = vector_field(chart, reeb_comps)
     system = ContactSystem(chart, eta, reeb=reeb, name=chart_name)
 
-    def unit_level(samples: int, seed: int) -> CheckResult:
+    def unit_level(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
         pts = chart.sample(samples, seed)
         total = float(weights[0]) * (x0.values(pts) ** 2 + pts[:, 0] ** 2)
         for j in range(1, n + 1):

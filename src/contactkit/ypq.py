@@ -487,10 +487,23 @@ def classify(first: YpqParams, second: YpqParams) -> bool:
 # -- enumeration -----------------------------------------------------------
 
 
+#: The largest argument :func:`totient` factors.  Trial division of a prime
+#: m runs up to sqrt(m): 0.16 s at m = 1e12 + 39 and 0.51 s at the prime
+#: 9999999999971 on a 2-vCPU x86-64 VM (Python 3.11), so m near 1e18 would
+#: take minutes.
+TOTIENT_MAX = 10**13
+
+
 def totient(m: int) -> int:
-    """Euler's phi by trial-division factorization."""
+    """Euler's phi by trial-division factorization, for ``1 <= m <=``
+    :data:`TOTIENT_MAX`."""
     if m < 1:
         raise ValueError("totient needs a positive integer")
+    if m > TOTIENT_MAX:
+        raise InvalidToricParameterError(
+            f"totient({m}) is refused: trial division is limited to "
+            f"arguments up to {TOTIENT_MAX}"
+        )
     remaining, result, k = m, m, 2
     while k * k <= remaining:
         if remaining % k == 0:

@@ -452,6 +452,42 @@ class TestVerifyCommand:
         assert code == EXIT_CHECK_FAILURE
         assert "FAIL" in out
 
+    # The expected facts resolve their tolerances through the overrides too,
+    # not only the cone-side checks.  The default tolerances are 1e-9 and a
+    # 1e-10 ratio floor, so both runs below pass without the override.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_override_reaches_the_model_facts(self, capsys, tmp_path, source):
+        if source == "flag":
+            options = ["--tol", "reeb_defining=1e-30"]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text("tol.reeb_defining = 1e-30\n")
+            options = ["--config", str(path)]
+        code, out, _ = run_cli(capsys, "verify", "example_3_10", "--samples", "32", *options)
+        assert code == EXIT_CHECK_FAILURE
+        line = next(line for line in out.splitlines() if " reeb_defining " in line)
+        assert line.startswith("  FAIL  reeb_defining ")
+        assert line.endswith("tol 1.000000e-30  samples 32")
+
+    def test_determinant_threshold_override_fails_the_contact_condition(self, capsys):
+        # The Hadamard ratio lies in [0, 1], so a threshold of 2 fails everywhere.
+        code, out, _ = run_cli(
+            capsys, "verify", "example_3_10", "--samples", "32",
+            "--tol", "contact_determinant=2", "--format", "records",
+        )
+        assert code == EXIT_CHECK_FAILURE
+        records = [json.loads(line) for line in out.splitlines()]
+        (check,) = [r for r in records if r.get("name") == "contact_condition"]
+        assert check["passed"] is False
+        assert check["detail"]["determinant_ratio_threshold"] == 2.0
+        ratio = check["detail"]["min_determinant_ratio"]
+        assert check["max_residual"] == pytest.approx(2.0 - ratio)
+        code, out, _ = run_cli(
+            capsys, "verify", "example_3_10", "--samples", "32", "--tol", "contact_determinant=2"
+        )
+        assert code == EXIT_CHECK_FAILURE
+        assert any(line.startswith("  FAIL  contact_condition ") for line in out.splitlines())
+
     def test_all_expands_and_dedupes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "darboux(1)", "all", "--samples", "8", "--seed", "3"
@@ -550,6 +586,26 @@ class TestYpqCommand:
         code, out, _ = run_cli(capsys, "ypq", "2", "3")
         assert code == EXIT_TORIC
         assert "1 <= q < p" in out
+
+    def test_huge_prime_exits_toric_instead_of_hanging(self):
+        # Trial-dividing p = 10^18 + 3 up to its square root would take minutes.
+        proc = subprocess.run(
+            [sys.executable, "-m", "contactkit.cli", "ypq", "1000000000000000003", "1"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == EXIT_TORIC
+        assert proc.stdout.splitlines() == [
+            "error: totient(1000000000000000003) is refused: trial division is limited "
+            "to arguments up to 10000000000000"
+        ]
+        assert "Traceback" not in proc.stderr
+
+    def test_large_prime_still_reports_its_class_size(self, capsys):
+        code, out, _ = run_cli(capsys, "ypq", "1000000000039", "1", "--format", "records")
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[0])["class_size"] == 1000000000038
 
     def test_even_p_has_no_homogeneous_check(self, capsys):
         code, out, _ = run_cli(capsys, "ypq", "4", "1")

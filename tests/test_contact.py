@@ -910,11 +910,11 @@ class TestCheckResult:
         assert payload["completely_integrable_witnessed"] is True
 
 
-# -- shared frame ----------------------------------------------------------
+# -- shared geometry -------------------------------------------------------
 
 
 class TestSharedFrame:
-    """Checks on one (system, points) share one frame geometry: one inverse
+    """Checks on one (system, points) share one slot geometry: one inverse
     of the bordered matrix, the same results as a fresh solve, nothing of
     the caller's kept.  (The tests named ``..._svd`` predate the inverse;
     ``inv_calls`` counts the solve kernel.)"""

@@ -8,6 +8,7 @@ import pytest
 
 from contactkit import ypq as ypq_module
 from contactkit.ypq import (
+    TOTIENT_MAX,
     InvalidToricParameterError,
     LevelSetSample,
     WeightMatrix,
@@ -316,6 +317,11 @@ class TestEnumeration:
             assert totient(m) == expected
         with pytest.raises(ValueError):
             totient(0)
+
+    def test_totient_refuses_arguments_past_its_bound(self):
+        assert totient(TOTIENT_MAX) == 4 * 10**12  # 10^13 = 2^13 5^13
+        with pytest.raises(InvalidToricParameterError, match=f"totient\\({TOTIENT_MAX + 1}\\)"):
+            totient(TOTIENT_MAX + 1)
 
     def test_coprime_pair_count(self):
         assert len(ALL_PAIRS) == 3043
