@@ -117,6 +117,8 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.output not in ("text", "records"):
@@ -125,8 +127,8 @@ class RunConfig:
             if name not in TOLERANCES:
                 known = ", ".join(sorted(TOLERANCES))
                 raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name} must be positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"tolerance {name} must be positive and finite, got {value}")
 
     @property
     def overrides(self) -> Mapping[str, float] | None:

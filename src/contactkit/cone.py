@@ -48,6 +48,7 @@ from .contact import (
     ContactSystem,
     GeometricError,
     _determinant_ratio_check,
+    _hadamard,
     _make_result,
     _pointwise_rank,
     resolve_tolerance,
@@ -254,7 +255,8 @@ def nondegeneracy_check(
     """
     threshold = resolve_tolerance("cone_nondegeneracy", tolerances)
     pts = cone.cone_chart.sample(samples, seed)
-    return _determinant_ratio_check("cone_nondegeneracy", cone.omega.matrix(pts), threshold, pts)
+    hadamard = _hadamard(cone.omega.matrix(pts))
+    return _determinant_ratio_check("cone_nondegeneracy", hadamard, threshold, pts)
 
 
 def homogeneity_check(

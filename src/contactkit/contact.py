@@ -13,9 +13,9 @@ system square: with ``E`` the coefficients of eta and ``D`` the matrix of
     M [X; a] = [-dh; h].
 
 ``M`` is antisymmetric and degree 1 in eta, and ``det M = Pf(M)^2 = (eta ^
-(d eta)^n / n!)^2``: it is the contact condition itself, and the contact
-verdict reads it.  One batched inverse then yields the field and its
-Reeb derivative together; the Reeb field is the ``h = 1`` case (``a = 0``).
+(d eta)^n / n!)^2``: its scale-free Hadamard ratio is the contact verdict
+and the solve's guard.  One batched inverse of ``M`` with unit rows yields
+the field and its Reeb derivative; the Reeb field is ``h = 1`` (``a = 0``).
 Spatial Jacobians of solved fields come from differentiating the linear
 system itself -- ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` -- never from
 finite differences; brackets are then computed as ``eta([X_f, X_g])`` from
@@ -73,10 +73,10 @@ __all__ = [
 DEFAULT_SEED = 20110615
 DEFAULT_SAMPLES = 128
 
-#: The pointwise field system is declared singular (the contact condition
-#: fails there) where the 1-norm condition number ``|M|_1 |M^-1|_1`` of its
-#: bordered matrix reaches ``1 / SINGULAR_RATIO`` or is not finite.  Both
-#: norms scale inversely with eta, so the guard does not depend on its size.
+#: A solve is refused (the contact condition fails there) where the Hadamard
+#: ratio of the bordered matrix ``M`` is below this.  It inverts ``M`` with
+#: unit rows, whose ``|det|`` is the ratio, and unit rows give ``cond_2 < 2 /
+#: |det|`` (Guggenheimer, Edelman, Johnson, College Math. J. 26, 1995).
 SINGULAR_RATIO = 1e-12
 
 #: Sample count used for the construction-time contact check.
@@ -293,8 +293,8 @@ class ContactSystem:
             # geometry and would otherwise keep this system alive.
             pts = self.chart.sample(VERIFY_SAMPLES, DEFAULT_SEED)
             threshold = TOLERANCES["contact_determinant"]
-            M = _Geometry(self, pts).M
-            check = _determinant_ratio_check("contact_condition", M, threshold, pts)
+            hadamard = _Geometry(self, pts).hadamard
+            check = _determinant_ratio_check("contact_condition", hadamard, threshold, pts)
             if not check.passed:
                 raise ContactConditionError(
                     f"form on chart {self.chart.name!r} is not contact: "
@@ -354,6 +354,22 @@ def _require_finite(what: str, points: np.ndarray, *arrays: np.ndarray) -> None:
         raise EvalDomainError(f"{what} is not finite at ({point})")
 
 
+def _hadamard(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per matrix ``A`` (n, d, d): ``|det A| / prod_i |row_i A|`` in [0, 1],
+    which is ``|det|`` of ``A`` with unit rows, so no row's scale changes it;
+    ``log |det A|``; and the row norms (n, d).  Each matrix is first divided
+    by its largest |entry| and the ratio is taken in logs, against overflow."""
+    d = matrices.shape[-1]
+    scale = np.max(np.abs(matrices), axis=(1, 2))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    unit = matrices / scale[:, None, None]
+    sign, log_det = np.linalg.slogdet(unit)
+    norms = np.linalg.norm(unit, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(sign == 0.0, 0.0, np.exp(log_det - np.sum(np.log(norms), axis=1)))
+        return ratio, log_det + d * np.log(scale), norms * scale[:, None]
+
+
 class _Geometry:
     """One system at one set of points: eta's data, the bordered matrix, its
     inverse, and the fields solved from them.
@@ -361,11 +377,11 @@ class _Geometry:
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
     ``D[n, i, j] = dEta(e_i, e_j)``, ``M`` the bordered matrix ``[[D^T, -E],
     [E^T, 0]]`` of the field system, built here and nowhere else, and
-    ``dM[n, k, row, col] = d_k M[row, col]``.  The contact verdict reads
-    ``M``; ``inverse`` holds the pointwise ``M^-1``, computed on first use
-    and guarded by :data:`SINGULAR_RATIO`.  ``solved`` and the pointwise
-    quantities below read these arrays and keep nothing of the expressions
-    they are given.
+    ``dM[n, k, row, col] = d_k M[row, col]``.  The contact verdict and the
+    guard of ``inverse`` (the pointwise ``M^-1``, computed on first use) read
+    one Hadamard ratio, the first of ``hadamard = _hadamard(M)``.  ``solved``
+    and the pointwise quantities below read these arrays and keep nothing of
+    the expressions they are given.
 
     The shared slot hands one geometry to every operation on the same
     (system, points), so its arrays are read-only.  The lazy inverse is
@@ -413,33 +429,32 @@ class _Geometry:
         self.D = D
         self.M = M
         self.dM = dM
-        _read_only(self.points, E, dE, D, M, dM)
+        self.hadamard = _hadamard(M)
+        _read_only(self.points, E, dE, D, M, dM, *self.hadamard)
         self._inverse: np.ndarray | None = None
 
     # -- linear algebra ---------------------------------------------------
 
     def inverse(self) -> np.ndarray:
-        """The pointwise inverse of ``M``; raises :class:`SingularSystemError`
-        at the first point where ``M`` is singular or ill-conditioned."""
+        """The pointwise inverse of ``M``, through ``M`` with unit rows; raises
+        :class:`SingularSystemError` at the point of smallest Hadamard ratio
+        if that is below :data:`SINGULAR_RATIO`."""
         if self._inverse is None:
+            ratio, _, N = self.hadamard
+            i = int(np.argmin(ratio))
+            if ratio[i] < SINGULAR_RATIO:
+                raise SingularSystemError(
+                    self.points[i],
+                    f"Hadamard ratio {ratio[i]:.3e} of the bordered contact matrix is "
+                    f"below {SINGULAR_RATIO:g}; the contact condition fails here",
+                )
             try:
-                inverse = np.linalg.inv(self.M)
+                inverse = np.linalg.inv(self.M / N[:, :, None]) / N[:, None, :]
             except np.linalg.LinAlgError:
-                i = int(np.argmin(np.abs(np.linalg.slogdet(self.M)[0])))
                 raise SingularSystemError(
                     self.points[i],
                     "the bordered contact matrix is singular; the contact condition fails here",
                 ) from None
-            with np.errstate(all="ignore"):
-                cond = _norm1(self.M) * _norm1(inverse)
-            bad = ~(cond < 1.0 / SINGULAR_RATIO)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise SingularSystemError(
-                    self.points[i],
-                    f"1-norm condition number {cond[i]:.3e} of the bordered contact "
-                    f"matrix reaches {1.0 / SINGULAR_RATIO:g}; the contact condition fails here",
-                )
             _read_only(inverse)
             self._inverse = inverse
         return self._inverse
@@ -481,11 +496,11 @@ class _Geometry:
         return np.einsum("ni,nij->nj", X, self.D)
 
     def bracket(self, s1: _Solved, s2: _Solved) -> np.ndarray:
-        """Jacobi bracket values ``eta([X_1, X_2])``."""
-        commutator = np.einsum("nj,nij->ni", s1.X, s2.dX) - np.einsum(
-            "nj,nij->ni", s2.X, s1.dX
-        )
-        return self.eta_values(commutator)
+        """Jacobi bracket values ``eta([X_1, X_2])``, with eta applied to each
+        Jacobian first: fields grow like ``1 / eta``, so the commutator's
+        ``X^j d_j X^i`` can overflow where the bracket does not."""
+        eta_dX1, eta_dX2 = (np.einsum("ni,nij->nj", self.E, s.dX) for s in (s1, s2))
+        return np.einsum("nj,nj->n", s1.X, eta_dX2) - np.einsum("nj,nj->n", s2.X, eta_dX1)
 
     def two_form_pairing(self, s1: _Solved, s2: _Solved) -> np.ndarray:
         """Values of ``dEta(X_1, X_2)``."""
@@ -515,11 +530,6 @@ class _Geometry:
 def _directional(s_field: _Solved, s_fn: _Solved) -> np.ndarray:
     """Values of the derivative of ``s_fn`` along ``s_field``."""
     return np.einsum("ni,ni->n", s_field.X, s_fn.grad)
-
-
-def _norm1(matrices: np.ndarray) -> np.ndarray:
-    """The 1-norm (largest absolute column sum) of each of ``matrices``."""
-    return np.max(np.sum(np.abs(matrices), axis=-2), axis=-1)
 
 
 #: The geometry of the most recent (system, points).  One slot rather than
@@ -668,33 +678,22 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
 
 
 def _determinant_ratio_check(
-    name: str, matrices: np.ndarray, threshold: float, points: np.ndarray
+    name: str, hadamard: tuple, threshold: float, points: np.ndarray
 ) -> CheckResult:
-    """Pointwise nondegeneracy of square ``matrices`` (n, d, d): the bordered
-    contact matrix ``M`` for ``contact_condition``, the matrix of the cone's
-    symplectic form for ``cone_nondegeneracy``.
-
-    The verdict is the Hadamard ratio ``|det M| / prod_i |row_i M|``, which
-    lies in [0, 1] and does not change when ``M`` is scaled, so ``threshold``
-    is the minimum acceptable ratio whatever the size of the entries.  Each
-    matrix is divided by its largest |entry| and the ratio is taken in logs
-    (``slogdet`` minus the summed log row norms), so neither the determinant
-    nor the row-norm product can under- or overflow.
+    """Pointwise nondegeneracy of square matrices ``M`` from their
+    :func:`_hadamard` data: the bordered contact matrix for
+    ``contact_condition``, the matrix of the cone's symplectic form for
+    ``cone_nondegeneracy``.  The verdict is the scale-free Hadamard ratio, so
+    ``threshold`` is the minimum acceptable ratio whatever the entries' size.
 
     ``detail`` records the smallest ``|det M|`` as ``min_abs_determinant``,
     or, where that number over- or underflows a float (``1e150 * (dz - y
     dx)`` has ``|det M| = 1e600``), its natural log as
     ``min_log_abs_determinant``, so that every recorded value is finite.
     """
-    d = matrices.shape[-1]
-    scale = np.max(np.abs(matrices), axis=(1, 2))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    unit = matrices / scale[:, None, None]
-    sign, log_det = np.linalg.slogdet(unit)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_norms = np.sum(np.log(np.linalg.norm(unit, axis=2)), axis=1)
-        ratio = np.where(sign == 0.0, 0.0, np.exp(log_det - log_norms))
-        log_min_abs_det = float(np.min(log_det + d * np.log(scale)))
+    ratio, log_abs_det, _ = hadamard
+    log_min_abs_det = float(np.min(log_abs_det))
+    with np.errstate(over="ignore"):
         min_abs_det = float(np.exp(log_min_abs_det))
     residuals = np.maximum(0.0, threshold - ratio)
     if math.isinf(min_abs_det) or (min_abs_det == 0.0 and math.isfinite(log_min_abs_det)):
@@ -717,8 +716,8 @@ def is_contact_form(
     above the ``contact_determinant`` threshold at every sample."""
     pts = system.chart.sample(samples, seed)
     threshold = resolve_tolerance("contact_determinant", tolerances)
-    M = _shared_geometry(system, pts).M
-    return _determinant_ratio_check("contact_condition", M, threshold, pts)
+    hadamard = _shared_geometry(system, pts).hadamard
+    return _determinant_ratio_check("contact_condition", hadamard, threshold, pts)
 
 
 def reeb_field(system: ContactSystem) -> HamiltonianFieldEvaluator:

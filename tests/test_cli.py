@@ -54,6 +54,10 @@ class TestRunConfig:
             RunConfig(tolerances={"nope": 1e-9})
         with pytest.raises(ValueError, match="positive"):
             RunConfig(tolerances={"flow_identity": -1e-9})
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(tolerances={"flow_identity": float("inf")})
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-1)
 
     def test_overrides_passthrough(self):
         config = RunConfig(tolerances={"flow_identity": 1e-6})
@@ -213,6 +217,13 @@ class TestBracketCommand:
         code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz - y*dx", "1", "z", "1,2,3")
         assert code == EXIT_OK
         assert out.splitlines()[0].endswith("= 1")
+
+    def test_anisotropically_small_form_is_solved(self, capsys):
+        # dz - 1e-12 y dx is contact (x' = 1e-12 x maps it to dz - y dx'),
+        # and its Hadamard ratio is about 0.45, so it is solved at any scale.
+        code, out, _ = run_cli(capsys, "bracket", "x,y,z", "dz - 1e-12*y*dx", "x", "y", "1,2,3")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "{f, g}(1, 2, 3) = 1e+12"
 
     def test_scientific_notation_in_form(self, capsys):
         code, out, _ = run_cli(
@@ -469,6 +480,43 @@ class TestVerifyCommand:
         assert line.startswith("  FAIL  reeb_defining ")
         assert line.endswith("tol 1.000000e-30  samples 32")
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["verify", "darboux(1)", "--seed", "-1"], None),
+            (["ypq", "3", "1", "--seed", "-5"], None),
+            (["verify", "darboux(1)"], "seed = -3\n"),
+        ],
+    )
+    def test_negative_seed_exits_usage(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: seed must be non-negative") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "options, config",
+        [
+            (["--tol", "reeb_defining=inf"], None),
+            (["--tol", "reeb_defining=inf", "--format", "records"], None),
+            ([], "tol.reeb_defining = inf\n"),
+            (["--format", "records"], "tol.reeb_defining = inf\n"),
+        ],
+    )
+    def test_non_finite_tolerance_exits_usage(self, capsys, tmp_path, options, config):
+        # An infinite tolerance would make a check that can never fail.
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            options = [*options, "--config", str(path)]
+        code, out, err = run_cli(capsys, "verify", "darboux(1)", "--samples", "16", *options)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: tolerance reeb_defining must be positive and finite")
+        assert err.count("\n") == 1
+
     def test_determinant_threshold_override_fails_the_contact_condition(self, capsys):
         # The Hadamard ratio lies in [0, 1], so a threshold of 2 fails everywhere.
         code, out, _ = run_cli(
@@ -502,13 +550,13 @@ class TestVerifyCommand:
     # change to the linear algebra re-pins them only after a diff against
     # its parent shows the same labels, verdicts and exit codes.
     GOLDENS = [
-        (128, 20110615, "text", "51e98c3557eb827d"),
-        (128, 20110615, "records", "ed11f6f24eef7396"),
-        (128, 1, "text", "25f5589db93c096b"),
-        (128, 1, "records", "d1f22aec8a95c050"),
-        (128, 205, "text", "9479d631cfb595ea"),
-        (128, 205, "records", "c6f14a8925726a7f"),
-        (4096, 20110615, "text", "5c97ab0a7ceb2ab2"),
+        (128, 20110615, "text", "9003217514ccec75"),
+        (128, 20110615, "records", "e04e1ad605016b00"),
+        (128, 1, "text", "56a295feeb3f98b7"),
+        (128, 1, "records", "878d7e360c479675"),
+        (128, 205, "text", "d49c30a46447b499"),
+        (128, 205, "records", "4d6a08d52cf8a088"),
+        (4096, 20110615, "text", "6c2b5dc410637bb1"),
     ]
 
     @pytest.mark.parametrize(

@@ -262,10 +262,11 @@ class TestSingularSystemGuard:
     @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
     @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-13])
     def test_nearly_degenerate_forms_raise(self, c, eps):
-        # c * (dz - eps * y dx): d(eta) is eps * c * dx^dy, so eta /\ d(eta)
-        # is eps times that of a contact form of the same size.
+        # c * (dz - (eps * y + z) dx): eta /\ d(eta) is c^2 eps dx^dy^dz,
+        # while d(eta) has the dx^dz part c dx^dz, so the smallest Hadamard
+        # ratio of the bordered matrix is about 0.15 eps at any scale c.
         chart = Chart("c3", ("x", "y", "z"))
-        eta = one_form(chart, {"z": c, "x": f"-{c * eps!r}*y"})
+        eta = one_form(chart, {"z": c, "x": f"-{c * eps!r}*y - {c!r}*z"})
         system = ContactSystem(chart, eta, verify=False)
         pts = chart.sample(16, SEED)
         with pytest.raises(SingularSystemError, match="contact condition fails"):
@@ -989,27 +990,44 @@ class TestSharedFrame:
         assert len(inv_calls) == 5
 
     def test_verdict_guard_and_solve_read_one_matrix(self, monkeypatch):
+        # One slogdet of M gives the Hadamard ratio that the contact verdict
+        # and the solve guard both read, and one inverse serves every solve.
         sys = darboux3()
-        read = []
-        check = contact_module._determinant_ratio_check
-        monkeypatch.setattr(
-            contact_module,
-            "_determinant_ratio_check",
-            lambda name, matrices, *rest: read.append(matrices) or check(name, matrices, *rest),
-        )
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: read.append(a) or inv(a))
-        assert is_contact_form(sys, seed=SEED).passed
+        calls = []
+
+        def counting(name):
+            kernel = getattr(np.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or kernel(*args, **kwargs)
+
+        for name in ("slogdet", "inv"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        pts = sys.chart.sample(128, SEED)
+        verdict = is_contact_form(sys, seed=SEED)
+        geometry = contact_module._shared
+        ratio = geometry.hadamard[0]
+        assert verdict.detail["min_determinant_ratio"] == float(ratio.min())
         assert reeb_defining_check(sys, seed=SEED).passed
-        assert len(read) == 2
-        assert read[0] is read[1] is contact_module._shared.M
+        hamiltonian_field(sys, sys.chart.parse("x*z")).evaluate(pts)
+        assert contact_module._shared is geometry
+        assert calls == ["slogdet", "inv"]
+        # A ratio below the floor at one point fails both there.
+        lowered = ratio.copy()
+        lowered[5] = contact_module.SINGULAR_RATIO / 2
+        monkeypatch.setattr(geometry, "hadamard", (lowered, *geometry.hadamard[1:]))
+        monkeypatch.setattr(geometry, "_inverse", None)
+        verdict = is_contact_form(sys, seed=SEED)
+        assert not verdict.passed and verdict.witness == tuple(pts[5])
+        with pytest.raises(SingularSystemError, match="Hadamard ratio 5.000e-13") as caught:
+            reeb_field(sys).evaluate(pts)
+        assert caught.value.point == tuple(pts[5])
+        assert calls == ["slogdet", "inv"]
 
     def test_shared_arrays_reject_writes(self):
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
         geometry = contact_module._shared
         shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.M, geometry.dM]
-        shared += [geometry.inverse(), geometry.reeb()]
+        shared += [*geometry.hadamard, geometry.inverse(), geometry.reeb()]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0

@@ -15,12 +15,25 @@ bracket is formed without any field Jacobian, as ``{f, g} = X_f g - g R f``
 solver's differentiated system rather than restating it.  The contact
 verdict is checked against the same 50-digit ``M``: its determinant and its
 Hadamard ratio ``|det M| / prod_i |row_i M|``.
+
+A sweep over badly scaled contact forms on the chart ``x, y, z`` checks the
+same quantities where the bordered matrix has widely different row sizes:
+``c (dz - eps y dx)``, contact for every ``eps > 0`` since ``x' = eps x``
+maps it to ``c (dz - y dx')``, and ``dz - y^3 dx`` next to its singular set
+``y = 0``.
 """
 
 import numpy as np
 import pytest
 
-from contactkit.contact import hamiltonian_field, is_contact_form, jacobi_bracket, reeb_field
+from contactkit.charts import Chart, one_form
+from contactkit.contact import (
+    ContactSystem,
+    hamiltonian_field,
+    is_contact_form,
+    jacobi_bracket,
+    reeb_field,
+)
 from contactkit.expressions import random_polynomial
 from contactkit.models import build_model, default_model_keys
 
@@ -31,7 +44,8 @@ POINTS = 16
 DIGITS = 50
 
 #: Largest accepted error of a float result, relative to ``max(1, |exact|)``
-#: over the points of one model.  Measured errors are below 1e-13.
+#: over the points of one model, or in the sweep below to the largest
+#: ``|exact|``.  Measured errors are below 1e-13.
 BOUND = 1e-11
 
 
@@ -106,12 +120,20 @@ def _pair(u, v):
     return mpmath.fsum(p * q for p, q in zip(u, v))
 
 
+def _mpf_values(got):
+    """The float results ``got`` as mpf values.  A ``nan`` compares false
+    with everything, so ``max`` would pass over it: non-finite results fail
+    here instead."""
+    got = np.asarray(got, dtype=float).reshape(-1)
+    assert np.all(np.isfinite(got)), got
+    return [mpmath.mpf(float(g)) for g in got]
+
+
 def _error(got, exact):
     """Largest ``|got - exact| / max(1, |exact|)`` over matching entries."""
-    got = np.asarray(got, dtype=float).reshape(-1)
     worst = mpmath.mpf(0)
-    for g, e in zip(got, exact):
-        worst = max(worst, abs(mpmath.mpf(float(g)) - e) / max(1, abs(e)))
+    for g, e in zip(_mpf_values(got), exact):
+        worst = max(worst, abs(g - e) / max(1, abs(e)))
     return float(worst)
 
 
@@ -192,3 +214,57 @@ def test_contact_verdict_matches_exact_determinant(model):
         err_ratio = _error([detail["min_determinant_ratio"]], [min(ratios)])
     assert err_det <= BOUND, (system.name, err_det)
     assert err_ratio <= BOUND, (system.name, err_ratio)
+
+
+# -- badly scaled contact forms --------------------------------------------
+
+
+def _scaled_error(got, exact):
+    """Largest ``|got - exact|`` over the largest ``|exact|``.  At ``c =
+    1e150`` the fields are about ``1e-150``, where an error relative to
+    ``max(1, |exact|)`` would hide any error at all."""
+    worst = max(abs(g - e) for g, e in zip(_mpf_values(got), exact))
+    return float(worst / max(abs(e) for e in exact))
+
+
+def _sweep_errors(system, pts):
+    """Scaled errors of the Reeb field, ``X_h``, ``a = R h`` and ``{f, g}``
+    over ``pts``, against the 50-digit solve."""
+    exact = _exact_frames(system, pts)
+    h, f, g = _polynomials(system, 3, 73)
+    field = hamiltonian_field(system, h)
+    got = {
+        "reeb": reeb_field(system).evaluate(pts),
+        "X": field.evaluate(pts),
+        "a": field.reeb_derivative(pts),
+        "bracket": jacobi_bracket(system, f, g).evaluate(pts),
+    }
+    with mpmath.workdps(DIGITS):
+        want = {"reeb": [], "X": [], "a": [], "bracket": []}
+        for ex in exact:
+            _, _, X, a = ex.solved(h)
+            _, df, X_f, _ = ex.solved(f)
+            want["reeb"] += ex.reeb
+            want["X"] += X
+            want["a"].append(a)
+            want["bracket"].append(_pair(X_f, ex.grad(g)) - ex.value(g) * _pair(df, ex.reeb))
+        return {key: _scaled_error(got[key], want[key]) for key in got}
+
+
+@pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12, 1e-16])
+def test_anisotropically_small_forms_match_exact_solve(c, eps):
+    chart = Chart("c3", ("x", "y", "z"))
+    system = ContactSystem(chart, one_form(chart, {"z": c, "x": f"-{c * eps!r}*y"}))
+    errors = _sweep_errors(system, chart.sample(POINTS, SEED))
+    assert max(errors.values()) <= BOUND, errors
+
+
+@pytest.mark.parametrize("y", [10.0**-k for k in range(1, 9)])
+def test_forms_next_to_the_singular_set_match_exact_solve(y):
+    chart = Chart("c3", ("x", "y", "z"))
+    system = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y^3"}))
+    pts = chart.sample(POINTS, SEED).copy()
+    pts[:, 1] = y
+    errors = _sweep_errors(system, pts)
+    assert max(errors.values()) <= BOUND, errors
