@@ -11,6 +11,19 @@ overrides, output format):
     reports one line per check, sorted by label.  Exit 0 iff everything
     passes.
 
+    The models' batteries run in parallel, on Linux only, where more than
+    one CPU is usable (the process's CPU affinity).  The parent runs the
+    model with the largest chart itself; ``os.fork`` makes one child per
+    usable CPU, at most one per other model, and each child pulls the next
+    of the other models, largest chart first, and sends its lines back.
+    Once every battery has run, the parent writes the models in the order
+    asked, so the output bytes and the exit code do not depend on the number
+    of workers.  If a battery raises, or its worker dies, the parent runs
+    that model again itself: the output stops after the same lines, with the
+    same ``error:`` line and exit code, as in one process.  Every child is
+    reaped before ``verify`` returns, also when the reader closes the output
+    pipe or the run is interrupted.
+
 ``bracket CHART ETA F G POINT``
     Evaluates the bracket {f, g} induced by the 1-form ETA at POINT, along
     with the defining-system residuals of the two Hamiltonian fields.  The
@@ -32,12 +45,14 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
 import os
+import pickle
+import struct
 import sys
-from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +67,7 @@ from .contact import (
     GeometricError,
     hamiltonian_field,
     jacobi_bracket,
+    release_shared_geometry,
 )
 from .cone import (
     build_cone,
@@ -349,7 +365,161 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
     return entries
 
 
+#: One task on the task pipe: a model index.  A pipe holds at least one
+#: 4096-byte page, so a list of at most ``_MAX_PIPED_MODELS`` tasks is written
+#: whole before any worker reads.
+_TASK = struct.Struct("<I")
+_MAX_PIPED_MODELS = 4096 // _TASK.size
+#: The length prefix of one pickled outcome on a worker's result pipe.
+_FRAME = struct.Struct("<Q")
+
+
+def _worker_count(models: int) -> int:
+    """How many processes run the batteries of ``models`` models: the
+    parent, which runs one, and one child per usable CPU for the others, at
+    most one process per model.  One process where only one CPU is usable,
+    and off Linux (macOS system libraries are not safe to use after
+    ``fork``, and Windows has none)."""
+    if sys.platform != "linux" or models > _MAX_PIPED_MODELS:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return min(cpus + 1, models) if cpus > 1 else 1
+
+
+def _report_lines(model: ModelDescriptor):
+    """The model's report lines, computed when first iterated."""
+    if model.report_lines is not None:
+        yield from model.report_lines()
+
+
+def _work(tasks, models: list, config: RunConfig, deliver) -> None:
+    """The worker loop: for each model index that ``tasks`` yields, run the
+    model's battery and report lines and call ``deliver(index, (entries,
+    notes))``, then drop the model (it keeps its sampled points and cones)
+    and the contact layer's shared geometry (it keeps the model's largest
+    arrays).  A model that raises is delivered as ``None`` and ends the
+    loop."""
+    for index in tasks:
+        try:
+            outcome = model_battery(models[index], config), tuple(_report_lines(models[index]))
+        except Exception:
+            deliver(index, None)
+            return
+        finally:
+            release_shared_geometry()
+        models[index] = None
+        deliver(index, outcome)
+
+
+def _pulled(tasks: int):
+    """Model indices read from the shared task pipe until it is empty.  One
+    read takes one whole task, so no two workers get the same index."""
+    while chunk := os.read(tasks, _TASK.size):
+        yield _TASK.unpack(chunk)[0]
+
+
+def _fork_worker(tasks: int, models: list, config: RunConfig):
+    """Fork a worker that pulls from ``tasks`` and sends each outcome back as a
+    length-prefixed pickle.  Returns its pid and the read end of its result
+    pipe.  The child imports nothing, starts no thread, writes nothing to the
+    parent's streams and leaves by ``os._exit``, whatever happens."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as results:
+
+                def send(index, outcome):
+                    payload = pickle.dumps((index, outcome), pickle.HIGHEST_PROTOCOL)
+                    results.write(_FRAME.pack(len(payload)) + payload)
+                    results.flush()
+
+                _work(_pulled(tasks), models, config, send)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb")
+
+
+def _receive(results, outcomes: list) -> None:
+    """Read a worker's outcomes until it closes its pipe.  A frame cut short
+    means that the worker died while writing it."""
+    while len(header := results.read(_FRAME.size)) == _FRAME.size:
+        (size,) = _FRAME.unpack(header)
+        payload = results.read(size)
+        if len(payload) < size:
+            return
+        index, outcome = pickle.loads(payload)
+        outcomes[index] = outcome
+
+
+def _run_batteries(models: list, config: RunConfig) -> list:
+    """Every model's ``(entries, notes)``, by request index, from
+    ``_worker_count`` processes: the parent and forked children.  The parent
+    runs the model with the largest chart and no other, so that the longest
+    battery starts at once, and the parent's work, its peak memory (the
+    largest chart takes the most) and its profile are the same in every run,
+    however the children share out the rest.  The other models, largest
+    chart first, go on one task pipe that every child pulls from, so that
+    the short ones fill in around the long ones; there is one child per
+    usable CPU, so that every CPU stays busy once the parent's battery ends.
+    One worker takes the models in request order, as that keeps the peak
+    memory of the serial pass.  An entry is ``None`` where the battery
+    raised, its worker died or no worker reached it after a raise.  Every
+    child is reaped before this returns or raises.  ``models`` loses each
+    model whose battery the parent ran."""
+    outcomes: list = [None] * len(models)
+    workers = _worker_count(len(models))
+    if workers == 1:
+        _work(range(len(models)), models, config, outcomes.__setitem__)
+        return outcomes
+    first, *order = sorted(
+        range(len(models)), key=lambda index: (-models[index].system.chart.dim, index)
+    )
+    tasks, task_writer = os.pipe()
+    children = []
+    try:
+        with os.fdopen(task_writer, "wb") as writer:
+            writer.write(b"".join(_TASK.pack(index) for index in order))
+        # Frozen objects are left alone by the children's collector, so the
+        # pages that hold them stay shared instead of being copied.
+        gc.freeze()
+        try:
+            for _ in range(workers - 1):
+                children.append(_fork_worker(tasks, models, config))
+        except OSError:
+            pass  # out of processes: cmd_verify runs the models no child took
+        finally:
+            gc.unfreeze()
+        _work((first,), models, config, outcomes.__setitem__)
+        for _, results in children:
+            _receive(results, outcomes)
+    finally:
+        # Take the tasks left, so that a child still at work stops after its
+        # current battery, then reap every child.
+        while os.read(tasks, 4096):
+            pass
+        os.close(tasks)
+        for pid, results in children:
+            results.close()
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped already: the embedding process ignores SIGCHLD
+    return outcomes
+
+
 def cmd_verify(model_keys: Sequence[str], config: RunConfig, stream) -> int:
+    """Run the requested models' batteries on every usable CPU (see
+    ``_run_batteries``) and write them in request order: the same bytes and
+    exit code as one process running them in turn, and where a battery
+    raises, the same partial output before the same error."""
     requested: list[str] = []
     for key in model_keys:
         expanded = default_model_keys() if key == "all" else (key,)
@@ -357,34 +527,36 @@ def cmd_verify(model_keys: Sequence[str], config: RunConfig, stream) -> int:
             if item not in requested:
                 requested.append(item)
     try:
-        selected = deque(build_model(key) for key in requested)
+        models = [build_model(key) for key in requested]
     except ValueError as exc:
-        stream.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
+    keys = [model.key for model in models]
+    outcomes = _run_batteries(models, config)
     total = failed = 0
-    # A model keeps its sampled points and its cones, so each one is let go
-    # once its lines are written.
-    while selected:
-        model = selected.popleft()
-        entries = model_battery(model, config)
+    for index, key in enumerate(keys):
+        outcome, outcomes[index] = outcomes[index], None
+        model, models[index] = models[index], None
+        if outcome is None:
+            # Its battery raised or its worker died: run it here, where the
+            # serial pass runs it, so that an error follows the same lines.
+            outcome = model_battery(model, config), _report_lines(model)
+        entries, notes = outcome
         total += len(entries)
         failed += sum(1 for _, result in entries if not result.passed)
         if config.output == "text":
-            stream.write(f"model {model.key}\n")
+            stream.write(f"model {key}\n")
             for label, result in entries:
                 stream.write(_check_line(label, result) + "\n")
-            if model.report_lines is not None:
-                for line in model.report_lines():
-                    stream.write(line + "\n")
+            for line in notes:
+                stream.write(line + "\n")
         else:
             for label, result in entries:
                 _emit_record(
                     stream,
-                    {"kind": "check", "model": model.key, "label": label, **result.to_record()},
+                    {"kind": "check", "model": key, "label": label, **result.to_record()},
                 )
-            if model.report_lines is not None:
-                for line in model.report_lines():
-                    _emit_record(stream, {"kind": "note", "model": model.key, "text": line})
+            for line in notes:
+                _emit_record(stream, {"kind": "note", "model": key, "text": line})
     if config.output == "text":
         stream.write(f"summary: {total} checks, {total - failed} passed, {failed} failed\n")
     else:

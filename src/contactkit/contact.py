@@ -554,6 +554,14 @@ def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
     return geometry
 
 
+def release_shared_geometry() -> None:
+    """Let the slot's geometry go, once the checks on its system are done.
+    Otherwise it stays until the next system's first check, and its arrays
+    (23 MB for a 7-dimensional chart at 4096 samples) add to that check's."""
+    global _shared
+    _shared = None
+
+
 # -- evaluators -----------------------------------------------------------
 
 

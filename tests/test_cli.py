@@ -4,13 +4,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from contactkit import cli as cli_module
 from contactkit.charts import Chart
 from contactkit.cli import (
     EXIT_BROKEN_PIPE,
@@ -28,6 +31,7 @@ from contactkit.cli import (
     parse_config_file,
     parse_one_form,
 )
+from contactkit.contact import GeometricError
 from contactkit.models import build_model
 
 
@@ -414,9 +418,13 @@ class TestVerifyCommand:
         assert "summary: " in out
 
     def test_unknown_model_exits_usage(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "nope")
-        assert code == EXIT_USAGE
-        assert "unknown model" in out
+        # Like every other usage error: one line on stderr, nothing on stdout.
+        code, out, err = run_cli(capsys, "verify", "nope")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unknown model" in err
+        code, out, err = run_cli(capsys, "verify", "darboux(1)", "darboux(0)")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: darboux(n) needs n >= 1\n"
 
     def test_checks_sorted_by_label(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "darboux(1)", "--samples", "32")
@@ -588,6 +596,8 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(Chart, "_sampled", counting_sampled)
         monkeypatch.setattr(cone_module, "reeb_rate", counting_rate)
+        # The counters see this process only, so every battery runs here.
+        monkeypatch.setattr(cli_module, "_worker_count", lambda models: 1)
         seen = []
         for _ in range(2):
             last = run_cli(capsys, "verify", "all", "--samples", "16")
@@ -612,6 +622,195 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestParallelVerify:
+    """``verify`` runs its batteries in ``_worker_count`` processes; the output
+    must not depend on how many."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(cli_module, "_worker_count", lambda models: min(count, models))
+
+        return force
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "all", "--samples", "16", "--seed", "1"),
+            ("verify", "all", "--samples", "16", "--seed", "205", "--format", "records"),
+            ("verify", "example_3_10", "darboux(2)", "all", "darboux(2)", "--samples", "16"),
+            ("verify", "example_3_10", "--samples", "16", "--format", "records"),
+            ("verify", "darboux(1)", "--samples", "16", "--tol", "scale_covariance=1e-300"),
+        ],
+    )
+    def test_output_does_not_depend_on_the_worker_count(self, capsys, workers, argv):
+        runs = []
+        for count in (1, 2, 3):
+            workers(count)
+            runs.append(run_cli(capsys, *argv))
+            assert _no_child_left()
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] in (EXIT_OK, EXIT_CHECK_FAILURE) and runs[0][2] == ""
+
+    def test_duplicate_keys_run_once(self, capsys, workers):
+        workers(3)
+        code, out, _ = run_cli(
+            capsys, "verify", "darboux(1)", "darboux(1)", "example_3_10", "--samples", "16"
+        )
+        assert code == EXIT_OK
+        headers = [line for line in out.splitlines() if line.startswith("model ")]
+        assert headers == ["model darboux(1)", "model example_3_10"]
+
+    TARGET = "heisenberg(1)"  # on the task pipe: the parent runs darboux(2)
+    KEYS = ("darboux(1)", TARGET, "darboux(2)")
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_error_in_a_child_matches_the_serial_run(
+        self, capsys, workers, monkeypatch, count
+    ):
+        battery = cli_module.model_battery
+        raised = []
+
+        def failing(model, config):
+            if model.key == self.TARGET:
+                raised.append(os.getpid())
+                raise GeometricError("precondition fails on the sampled chart")
+            return battery(model, config)
+
+        monkeypatch.setattr(cli_module, "model_battery", failing)
+        workers(1)
+        serial = run_cli(capsys, "verify", *self.KEYS, "--samples", "16")
+        code, out, err = serial
+        assert (code, err) == (EXIT_GEOMETRY, "")
+        assert out.startswith("model darboux(1)\n")
+        assert out.endswith("\nerror: precondition fails on the sampled chart\n")
+        assert "model " + self.TARGET not in out and "darboux(2)" not in out
+        raised.clear()
+        workers(count)
+        assert run_cli(capsys, "verify", *self.KEYS, "--samples", "16") == serial
+        assert _no_child_left()
+        # A child raised first; this process raised once, running it again.
+        assert raised == [os.getpid()]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_parent_runs_only_the_largest_chart(self, capsys, workers, monkeypatch, count):
+        # The largest chart takes the most memory, so the parent's peak is
+        # the serial pass's, and the same in every run.
+        parent, battery = os.getpid(), cli_module.model_battery
+        ran = []
+
+        def recorded(model, config):
+            if os.getpid() == parent:
+                ran.append(model.key)
+            return battery(model, config)
+
+        monkeypatch.setattr(cli_module, "model_battery", recorded)
+        workers(count)
+        assert run_cli(capsys, "verify", "all", "--samples", "16")[0] == EXIT_OK
+        assert ran == ["sphere_weighted(3,2,4,3,3)"]
+        ran.clear()
+        assert run_cli(capsys, "verify", *self.KEYS, "--samples", "16")[0] == EXIT_OK
+        assert ran == ["darboux(2)"]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_shared_geometry_released_after_each_battery(self, workers, count):
+        # Otherwise the largest chart's arrays stay until the next system's
+        # first check, and a later battery's peak memory includes them.
+        from contactkit import contact as contact_module
+
+        workers(count)
+        keys = ("darboux(1)", "heisenberg(1)")
+        assert cli_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
+        assert contact_module._shared is None
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_models_of_a_dead_child_are_finished_by_the_parent(
+        self, capsys, workers, monkeypatch, count
+    ):
+        workers(1)
+        serial = run_cli(capsys, "verify", *self.KEYS, "--samples", "16")
+        assert serial[0] == EXIT_OK
+        parent, battery = os.getpid(), cli_module.model_battery
+
+        def dying(model, config):
+            if os.getpid() != parent:
+                os._exit(1)  # dies holding its task, without writing anything
+            return battery(model, config)
+
+        monkeypatch.setattr(cli_module, "model_battery", dying)
+        workers(count)
+        assert run_cli(capsys, "verify", *self.KEYS, "--samples", "16") == serial
+        assert _no_child_left()
+
+    def test_children_are_reaped_on_every_exit_path(self, workers, monkeypatch):
+        workers(2)
+        config = RunConfig(samples=16)
+        keys = ("darboux(1)", "heisenberg(1)", "example_3_10")
+        stream = io.StringIO()
+        assert cli_module.cmd_verify(keys, config, stream) == EXIT_OK
+        assert _no_child_left()
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        with pytest.raises(BrokenPipeError):
+            cli_module.cmd_verify(keys, config, ClosedPipe())
+        assert _no_child_left()
+
+        parent, battery = os.getpid(), cli_module.model_battery
+
+        def interrupted(model, config):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return battery(model, config)
+
+        monkeypatch.setattr(cli_module, "model_battery", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_module.cmd_verify(keys, config, io.StringIO())
+        assert _no_child_left()
+
+        def geometric(model, config):
+            raise GeometricError("no contact structure")
+
+        monkeypatch.setattr(cli_module, "model_battery", geometric)
+        with pytest.raises(GeometricError):
+            cli_module.cmd_verify(keys, config, io.StringIO())
+        assert _no_child_left()
+
+    def test_children_reaped_by_the_kernel(self, capsys, workers):
+        # A process that ignores SIGCHLD has its children reaped for it, and
+        # waitpid then finds no child.
+        argv = ("verify", "darboux(1)", "example_3_10", "--samples", "16")
+        workers(2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            parallel = run_cli(capsys, *argv)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        workers(1)
+        assert parallel == run_cli(capsys, *argv)
+        assert parallel[0] == EXIT_OK
+
+    def test_worker_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert cli_module._worker_count(1) == 1
+        # The parent and one child per CPU, or one process on one CPU.
+        assert cli_module._worker_count(9) == (min(cpus + 1, 9) if cpus > 1 else 1)
+        # A task list longer than one atomic pipe write runs in one process.
+        assert cli_module._worker_count(cli_module._MAX_PIPED_MODELS + 1) == 1
 
 
 class TestYpqCommand:
