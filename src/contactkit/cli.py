@@ -67,7 +67,6 @@ from .contact import (
     GeometricError,
     hamiltonian_field,
     jacobi_bracket,
-    release_shared_geometry,
 )
 from .cone import (
     build_cone,
@@ -395,18 +394,15 @@ def _report_lines(model: ModelDescriptor):
 def _work(tasks, models: list, config: RunConfig, deliver) -> None:
     """The worker loop: for each model index that ``tasks`` yields, run the
     model's battery and report lines and call ``deliver(index, (entries,
-    notes))``, then drop the model (it keeps its sampled points and cones)
-    and the contact layer's shared geometry (it keeps the model's largest
-    arrays).  A model that raises is delivered as ``None`` and ends the
-    loop."""
+    notes))``, then drop the model and with it what its checks kept: its
+    sampled points, its cones and its solved arrays, the largest.  A model
+    that raises is delivered as ``None`` and ends the loop."""
     for index in tasks:
         try:
             outcome = model_battery(models[index], config), tuple(_report_lines(models[index]))
         except Exception:
             deliver(index, None)
             return
-        finally:
-            release_shared_geometry()
         models[index] = None
         deliver(index, outcome)
 

@@ -51,6 +51,7 @@ from .contact import (
     _hadamard,
     _make_result,
     _pointwise_rank,
+    _require_on_chart,
     resolve_tolerance,
 )
 from .expressions import ScalarExpr, _values_of, const, coord
@@ -325,8 +326,7 @@ def reeb_rate(system: ContactSystem, hamiltonian: ScalarExpr) -> ScalarExpr:
         raise ValueError(
             "symbolic Reeb derivative needs a system with a closed-form reeb field"
         )
-    if tuple(hamiltonian.coords) != system.chart.coords:
-        raise ValueError("hamiltonian bound to different coordinates than the chart")
+    _require_on_chart(system.chart, "hamiltonian", hamiltonian)
     rate = const(0.0, system.chart.coords)
     for name, comp in zip(system.chart.coords, system.reeb.components):
         rate = rate + comp * hamiltonian.derivative(name)

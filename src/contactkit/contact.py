@@ -238,6 +238,14 @@ def _as_batch(points, dim: int) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _require_on_chart(chart: Chart, what: str, *exprs: ScalarExpr) -> None:
+    """Refuse expressions bound to other coordinates than ``chart``'s: their
+    variables would be read by position, and give a wrong value silently."""
+    for expr in exprs:
+        if tuple(expr.coords) != chart.coords:
+            raise ValueError(f"{what} bound to different coordinates than the chart")
+
+
 # -- the contact system ---------------------------------------------------
 
 
@@ -260,8 +268,10 @@ class ContactSystem:
     are kept on it, one per radial bounds, for as long as a caller holds
     them: a cone refers back to its system, so a strong reference would make
     a cycle that only the cyclic garbage collector frees, and a dropped
-    model's sampled points would outlive it.  They take no part in equality
-    or hashing.
+    model's sampled points would outlive it.  The geometry of the system at
+    the points of its latest check (see :func:`_shared_geometry`) is kept on
+    it too, and refers to nothing of the system, so it goes with the system.
+    Neither takes part in equality or hashing.
     """
 
     chart: Chart
@@ -274,6 +284,7 @@ class ContactSystem:
     _cones: weakref.WeakValueDictionary = field(
         default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False
     )
+    _geometry: _Geometry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, verify: bool):
         if self.chart.dim % 2 == 0:
@@ -283,14 +294,13 @@ class ContactSystem:
         if not self.eta.chart.compatible(self.chart):
             raise ChartMismatchError("eta lives on a different chart")
         object.__setattr__(self, "integrals", tuple(self.integrals))
-        for expr in (self.hamiltonian, *self.integrals):
-            if expr is not None and tuple(expr.coords) != self.chart.coords:
-                raise ValueError("scalar data bound to different coordinates than the chart")
+        data = self.integrals if self.hamiltonian is None else (self.hamiltonian, *self.integrals)
+        _require_on_chart(self.chart, "scalar data", *data)
         if self.reeb is not None and not self.reeb.chart.compatible(self.chart):
             raise ChartMismatchError("reeb field lives on a different chart")
         if verify:
-            # Apart from the shared slot, which keeps the running batch's
-            # geometry and would otherwise keep this system alive.
+            # Not kept: ``verify`` builds every model before the first
+            # battery, and each would hold these arrays until its own.
             pts = self.chart.sample(VERIFY_SAMPLES, DEFAULT_SEED)
             threshold = TOLERANCES["contact_determinant"]
             hadamard = _Geometry(self, pts).hadamard
@@ -383,10 +393,9 @@ class _Geometry:
     and the pointwise quantities below read these arrays and keep nothing of
     the expressions they are given.
 
-    The shared slot hands one geometry to every operation on the same
-    (system, points), so its arrays are read-only.  The lazy inverse is
-    computed whole and then assigned, so threads sharing a geometry at worst
-    repeat that work.
+    A system keeps one geometry for every operation on the same points, so
+    its arrays are read-only.  The lazy inverse is computed whole and then
+    assigned, so threads sharing a geometry at worst repeat that work.
     """
 
     def __init__(self, system: ContactSystem, pts: np.ndarray) -> None:
@@ -418,7 +427,6 @@ class _Geometry:
         M[:, d, :d] = E
         dM[:, :, :d, d] = -dE
         dM[:, :, d, :d] = dE
-        self.system = system
         self.key = pts.tobytes()
         # A read-only array that owns its data, such as a chart's kept
         # sample, cannot change under the geometry, so it is kept as it is.
@@ -532,34 +540,16 @@ def _directional(s_field: _Solved, s_fn: _Solved) -> np.ndarray:
     return np.einsum("ni,ni->n", s_field.X, s_fn.grad)
 
 
-#: The geometry of the most recent (system, points).  One slot rather than
-#: one per system: a battery runs all its checks on one system and one
-#: sample set before moving on, and a slot per system would keep the
-#: geometry of every live system (``verify all`` builds nine) in memory.
-_shared: _Geometry | None = None
-
-
 def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
-    """The slot's geometry if it is on ``system`` at the same points (the
-    same array, or equal bytes), else a new one that replaces it."""
-    global _shared
-    geometry = _shared
-    if (
-        geometry is None
-        or geometry.system is not system
-        or (geometry.points is not pts and geometry.key != pts.tobytes())
-    ):
-        _shared = None  # let the old geometry go before building the new one
-        geometry = _shared = _Geometry(system, pts)
+    """The geometry kept on ``system`` if it is at the same points (the same
+    array, or equal bytes), else a new one that replaces it.  One per system:
+    a battery runs all its checks on one sample set before moving on."""
+    geometry = system._geometry
+    if geometry is None or (geometry.points is not pts and geometry.key != pts.tobytes()):
+        object.__setattr__(system, "_geometry", None)  # free the old one first
+        geometry = _Geometry(system, pts)
+        object.__setattr__(system, "_geometry", geometry)
     return geometry
-
-
-def release_shared_geometry() -> None:
-    """Let the slot's geometry go, once the checks on its system are done.
-    Otherwise it stays until the next system's first check, and its arrays
-    (23 MB for a 7-dimensional chart at 4096 samples) add to that check's."""
-    global _shared
-    _shared = None
 
 
 # -- evaluators -----------------------------------------------------------
@@ -569,12 +559,12 @@ class HamiltonianFieldEvaluator:
     """Solver-backed vector field for one Hamiltonian function.
 
     Evaluates anywhere on the chart; the Reeb field is the ``hamiltonian = 1``
-    case.  Calls at the same points share the slot's geometry (one inverse).
+    case.  Calls at the same points share the geometry kept on the system
+    (one inverse).
     """
 
     def __init__(self, system: ContactSystem, hamiltonian: ScalarExpr):
-        if tuple(hamiltonian.coords) != system.chart.coords:
-            raise ValueError("hamiltonian bound to different coordinates than the chart")
+        _require_on_chart(system.chart, "hamiltonian", hamiltonian)
         self.system = system
         self.hamiltonian = hamiltonian
 
@@ -629,8 +619,8 @@ class ScalarEvaluator:
 
     def at(self, point) -> float:
         """The value at one point.  Sharing a one-point geometry saves
-        nothing, so it is built apart and the slot keeps the geometry of the
-        batch checks around the call."""
+        nothing, so it is built apart and the system keeps the geometry of
+        the batch checks around the call."""
         pts, _ = _as_batch(np.asarray(point, dtype=float).reshape(-1), self.system.chart.dim)
         return float(self._compute(_Geometry(self.system, pts))[0])
 
@@ -649,6 +639,7 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
         f: ScalarExpr,
         tolerances: Mapping[str, float] | None = None,
     ):
+        _require_on_chart(system.chart, "function", h, f)
         self.h = h
         self.f = f
         self._tolerance = resolve_tolerance("isotropy_identity", tolerances)
@@ -740,6 +731,7 @@ def hamiltonian_field(system: ContactSystem, h: ScalarExpr) -> HamiltonianFieldE
 
 def jacobi_bracket(system: ContactSystem, f: ScalarExpr, g: ScalarExpr) -> ScalarEvaluator:
     """Pointwise values of ``eta([X_f, X_g])``; antisymmetric in (f, g)."""
+    _require_on_chart(system.chart, "function", f, g)
     return ScalarEvaluator(system, lambda geo: geo.bracket(geo.solved(f), geo.solved(g)))
 
 
@@ -751,6 +743,7 @@ def is_good(
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
     """Whether the Reeb derivative of ``h`` vanishes at all samples."""
+    _require_on_chart(system.chart, "function", h)
     pts = system.chart.sample(samples, seed)
     s = _shared_geometry(system, pts).solved(h)
     tol = resolve_tolerance("goodness", tolerances)
@@ -766,6 +759,7 @@ def is_first_integral(
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
     """Whether ``f`` is constant along the field of ``h`` at all samples."""
+    _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
     sh = _shared_geometry(system, pts).solved(h)
     _, f_grad, _ = f.jets(pts)
@@ -784,6 +778,7 @@ def verify_flow_identity(
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
     """Residual of ``X_h f = (R h) f + {h, f}`` at all samples."""
+    _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
     sh = geometry.solved(h)
@@ -815,6 +810,7 @@ def involution_table(
     fns = tuple(fns)
     if len(fns) < 2:
         raise ValueError("involution table needs at least two functions")
+    _require_on_chart(system.chart, "function", *fns)
     tol = resolve_tolerance("involution", tolerances)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
@@ -842,6 +838,7 @@ def independence_rank(
     fns = tuple(fns)
     if not fns:
         raise ValueError("independence rank needs at least one function")
+    _require_on_chart(system.chart, "function", *fns)
     rel = resolve_tolerance("rank_svd", tolerances)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
@@ -966,6 +963,7 @@ def conformal_bracket_law(
 ) -> CheckResult:
     """Bracket transformation under a positive rescale of the contact form:
     the bracket in the rescaled system equals ``f * {g/f, h/f}``."""
+    _require_on_chart(system.chart, "function", conformal_factor, g, h)
     pts = system.chart.sample(samples, seed)
     factor_values = conformal_factor.values(pts)
     if np.any(factor_values <= 0.0):
@@ -1010,9 +1008,7 @@ class CoordinateMap:
         for comps in (self.components, self.inverse_components):
             if len(comps) != self.chart.dim:
                 raise ValueError("component count must equal chart dimension")
-            for e in comps:
-                if tuple(e.coords) != self.chart.coords:
-                    raise ValueError("component bound to different coordinates than the chart")
+            _require_on_chart(self.chart, "component", *comps)
 
     @staticmethod
     def identity(chart: Chart) -> "CoordinateMap":
@@ -1057,6 +1053,7 @@ def conjugacy_transport(
     chart = system.chart
     if not diffeo.chart.compatible(chart):
         raise ChartMismatchError("diffeomorphism lives on a different chart")
+    _require_on_chart(chart, "function", h)
     tol_inv = resolve_tolerance("inverse_roundtrip", tolerances)
     pts = chart.sample(samples, seed)
     image = diffeo.apply(pts)
@@ -1153,6 +1150,7 @@ def hamiltonian_contract_checks(
     tolerances: Mapping[str, float] | None = None,
 ) -> tuple[CheckResult, CheckResult]:
     """Pairing and eta-invariance residuals of the field of ``h``."""
+    _require_on_chart(system.chart, "function", h)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
     residuals = geometry.defining_residuals(geometry.solved(h))

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, batteries, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -725,15 +727,28 @@ class TestParallelVerify:
         assert _no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_shared_geometry_released_after_each_battery(self, workers, count):
-        # Otherwise the largest chart's arrays stay until the next system's
-        # first check, and a later battery's peak memory includes them.
-        from contactkit import contact as contact_module
+    def test_systems_freed_after_their_battery(self, workers, monkeypatch, count):
+        # A system keeps its sampled points and solved arrays; the largest
+        # chart's would otherwise add to a later battery's peak memory.  The
+        # cyclic collector is off, so nothing waits for it.
+        systems = []
 
+        def built(key):
+            model = build_model(key)
+            systems.append(weakref.ref(model.system))
+            return model
+
+        monkeypatch.setattr(cli_module, "build_model", built)
         workers(count)
         keys = ("darboux(1)", "heisenberg(1)")
-        assert cli_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
-        assert contact_module._shared is None
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert cli_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
+            assert len(systems) == 2 and all(ref() is None for ref in systems)
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_models_of_a_dead_child_are_finished_by_the_parent(

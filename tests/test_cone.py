@@ -426,9 +426,7 @@ class TestKeptConeAndLifts:
 
         chart = Chart("darboux3", ("x", "y", "z"))
         eta = one_form(chart, {"z": 1.0, "x": "-y"})
-        # verify=False: the construction check would leave the system in the
-        # shared frame slot
-        system = ContactSystem(chart, eta, reeb=basis_field(chart, "z"), verify=False)
+        system = ContactSystem(chart, eta, reeb=basis_field(chart, "z"))
         gc.disable()
         try:
             dropped = weakref.ref(build_cone(system, verify=False))

@@ -186,7 +186,7 @@ class TestNonFiniteInput:
             hamiltonian_field(system, chart.parse("x")).evaluate(point)
         with pytest.raises(EvalDomainError):
             jacobi_bracket(system, chart.parse("x"), chart.parse("y")).at(point)
-        assert contact_module._shared is None  # no half-built geometry is kept
+        assert system._geometry is None  # no half-built geometry is kept
 
     def test_overflow_gives_no_numpy_warning(self):
         chart = Chart("c3", ("x", "y", "z"))
@@ -211,6 +211,56 @@ class TestNonFiniteInput:
         h = const(float("inf"), darboux3().chart.coords)
         with pytest.raises(EvalDomainError, match="a field is not finite"):
             independence_rank(darboux3(), [h], samples=8, seed=SEED)
+
+
+# -- functions on other coordinates ----------------------------------------
+
+
+def _foreign(text: str) -> ScalarExpr:
+    """A function of as many variables as ``darboux3``'s chart, other names."""
+    return parse(text, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda s, a, b: hamiltonian_field(s, a),
+        lambda s, a, b: jacobi_bracket(s, a, b).at((1.0, 2.0, 3.0)),
+        lambda s, a, b: is_good(s, a),
+        lambda s, a, b: is_first_integral(s, s.chart.parse("-y"), b),
+        lambda s, a, b: verify_flow_identity(s, a, b),
+        lambda s, a, b: isotropy_defect(s, a, b),
+        lambda s, a, b: involution_table(s, (s.chart.parse("x"), b)),
+        lambda s, a, b: independence_rank(s, (a,)),
+        lambda s, a, b: hamiltonian_contract_checks(s, a),
+        lambda s, a, b: conformal_bracket_law(
+            s, _foreign("1 + a^2"), s.chart.parse("x"), s.chart.parse("z")
+        ),
+        lambda s, a, b: conjugacy_transport(s, CoordinateMap.identity(s.chart), a),
+        # classify_system's family: a system cannot carry such a function.
+        lambda s, a, b: ContactSystem(s.chart, s.eta, hamiltonian=a, integrals=(b,)),
+    ],
+    ids=[
+        "hamiltonian_field",
+        "jacobi_bracket",
+        "is_good",
+        "is_first_integral",
+        "verify_flow_identity",
+        "isotropy_defect",
+        "involution_table",
+        "independence_rank",
+        "hamiltonian_contract_checks",
+        "conformal_bracket_law",
+        "conjugacy_transport",
+        "classify_system_family",
+    ],
+)
+def test_function_on_other_coordinates_rejected(operation):
+    # Read by position, ``b`` on the chart (x, y, z) would be ``y``: the
+    # bracket {a, b} of ``dz - y dx`` would come out as 1.0 at (1, 2, 3).
+    sys = darboux3()
+    with pytest.raises(ValueError, match="bound to different coordinates than the chart"):
+        operation(sys, _foreign("a"), _foreign("b"))
 
 
 # -- Reeb field -----------------------------------------------------------
@@ -915,9 +965,9 @@ class TestCheckResult:
 
 
 class TestSharedFrame:
-    """Checks on one (system, points) share one slot geometry: one inverse
-    of the bordered matrix, the same results as a fresh solve, nothing of
-    the caller's kept.  (The tests named ``..._svd`` predate the inverse;
+    """Checks on one (system, points) share the geometry kept on the system:
+    one inverse of the bordered matrix, the same results as a fresh solve,
+    nothing of the caller's kept.  (The tests named ``..._svd`` predate the inverse;
     ``inv_calls`` counts the solve kernel.)"""
 
     @pytest.fixture
@@ -949,7 +999,7 @@ class TestSharedFrame:
         ]
         misses = []
         for check in checks:
-            monkeypatch.setattr(contact_module, "_shared", None)
+            object.__setattr__(sys, "_geometry", None)
             misses.append(check())
         hits = [check() for check in checks]
         *results, arrays = misses
@@ -983,11 +1033,38 @@ class TestSharedFrame:
         h, f = first.chart.parse("x*z + y"), first.chart.parse("z")
         verify_flow_identity(first, h, f, seed=SEED)
         verify_flow_identity(twin, h, f, seed=SEED)  # equal but not the same system
-        verify_flow_identity(first, h, f, seed=SEED)
+        verify_flow_identity(first, h, f, seed=SEED)  # first kept its own geometry
         verify_flow_identity(first, h, f, seed=SEED + 1)
         verify_flow_identity(first, h, f, samples=64, seed=SEED)
         verify_flow_identity(first, h, f, samples=64, seed=SEED)
-        assert len(inv_calls) == 5
+        assert len(inv_calls) == 4
+        assert twin._geometry is not first._geometry
+
+    def test_interleaved_systems_keep_their_geometry(self, inv_calls):
+        # Each conformal law builds a rescaled system; the base system's
+        # geometry survives it, so only the rescaled ones are solved again.
+        sys = darboux3()
+        h, g, factor = sys.chart.parse("x*z + y"), sys.chart.parse("z"), sys.chart.parse("1 + x^2")
+        for _ in range(2):
+            is_good(sys, h, seed=SEED)
+            assert conformal_bracket_law(sys, factor, g, h, seed=SEED).passed
+        assert inv_calls == [(128, 4, 4)] * 3
+
+    def test_dropped_system_is_freed(self):
+        # The geometry refers to nothing of its system, so dropping a model
+        # frees it and its arrays at once, without the cyclic collector.
+        model = build_model("darboux(1)")
+        assert reeb_defining_check(model.system, seed=SEED).passed
+        assert model.system._geometry is not None
+        ref = weakref.ref(model.system)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_verdict_guard_and_solve_read_one_matrix(self, monkeypatch):
         # One slogdet of M gives the Hadamard ratio that the contact verdict
@@ -1003,12 +1080,12 @@ class TestSharedFrame:
             monkeypatch.setattr(np.linalg, name, counting(name))
         pts = sys.chart.sample(128, SEED)
         verdict = is_contact_form(sys, seed=SEED)
-        geometry = contact_module._shared
+        geometry = sys._geometry
         ratio = geometry.hadamard[0]
         assert verdict.detail["min_determinant_ratio"] == float(ratio.min())
         assert reeb_defining_check(sys, seed=SEED).passed
         hamiltonian_field(sys, sys.chart.parse("x*z")).evaluate(pts)
-        assert contact_module._shared is geometry
+        assert sys._geometry is geometry
         assert calls == ["slogdet", "inv"]
         # A ratio below the floor at one point fails both there.
         lowered = ratio.copy()
@@ -1025,7 +1102,7 @@ class TestSharedFrame:
     def test_shared_arrays_reject_writes(self):
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
-        geometry = contact_module._shared
+        geometry = sys._geometry
         shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.M, geometry.dM]
         shared += [*geometry.hadamard, geometry.inverse(), geometry.reeb()]
         for array in shared:
@@ -1036,25 +1113,25 @@ class TestSharedFrame:
         sys = darboux3()
         pts = sys.chart.sample(32, SEED)
         reeb_defining_check(sys, samples=32, seed=SEED)
-        geometry = contact_module._shared
+        geometry = sys._geometry
         assert geometry.points is pts  # kept, not copied
         monkeypatch.setattr(geometry, "key", b"")  # an identity match needs no bytes
         hamiltonian_field(sys, sys.chart.parse("x")).evaluate(pts)
-        assert contact_module._shared is geometry
+        assert sys._geometry is geometry
         own = np.array(pts)  # equal bytes in a writeable array of the caller's
         hamiltonian_field(sys, sys.chart.parse("x")).evaluate(own)
-        assert contact_module._shared is not geometry
-        assert contact_module._shared.points is not own
+        assert sys._geometry is not geometry
+        assert sys._geometry.points is not own
         assert len(inv_calls) == 2
 
     def test_one_point_value_leaves_the_slot(self, inv_calls):
         sys = darboux3()
         h, f = sys.chart.parse("-y"), sys.chart.parse("z")
         reeb_defining_check(sys, seed=SEED)
-        geometry = contact_module._shared
+        geometry = sys._geometry
         assert abs(isotropy_defect(sys, h, f).at((1.0, 2.0, 3.0)) - 2.0) < 1e-12
         assert jacobi_bracket(sys, h, f).at((1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
-        assert contact_module._shared is geometry
+        assert sys._geometry is geometry
         is_good(sys, h, seed=SEED)
         assert [shape[0] for shape in inv_calls] == [128, 1, 1]
 
@@ -1063,7 +1140,7 @@ class TestSharedFrame:
         h, f = sys.chart.parse("x1*z + y1"), sys.chart.parse("z^2")
         verify_flow_identity(sys, h, f, seed=SEED)
         jacobi_bracket(sys, h, f).evaluate(sys.chart.sample(8, SEED))
-        geometry = contact_module._shared
+        geometry = sys._geometry
         held = vars(geometry).values()
         assert not any(
             isinstance(value, (dict, list, set, ScalarExpr, contact_module._Solved))
@@ -1073,10 +1150,11 @@ class TestSharedFrame:
     def test_construction_check_leaves_the_slot(self):
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
-        geometry = contact_module._shared
+        geometry = sys._geometry
         chart = Chart("darboux3", ("x", "y", "z"))
         built = ContactSystem(chart, one_form(chart, {"z": 1.0, "x": "-y"}))
-        assert contact_module._shared is geometry
+        assert sys._geometry is geometry
+        assert built._geometry is None  # the 32-point check keeps nothing
         ref = weakref.ref(built)
         del built
         gc.collect()
