@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import ScalarExpr, _values_of, const
+from .expressions import ScalarExpr, _as_batch, _values_of, const
 
 __all__ = [
     "Chart",
@@ -188,10 +188,7 @@ class VectorField:
             raise ValueError("component count must equal chart dimension")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        pts, single = _as_batch(points, self.chart.dim)
         out = np.stack(_values_of(self.components, pts), axis=1)
         return out[0] if single else out
 
@@ -199,10 +196,11 @@ class VectorField:
         return self.evaluate(points)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """J[n, i, k] = d_k X^i, from exact jets."""
-        pts = np.asarray(points, dtype=float)
-        grads = [c.jets(pts)[1] for c in self.components]  # each (N, d)
-        return np.stack(grads, axis=1)
+        """J[n, i, k] = d_k X^i, from exact jets (``(dim, dim)`` for a single
+        point)."""
+        pts, single = _as_batch(points, self.chart.dim)
+        J = np.stack([c.jets(pts)[1] for c in self.components], axis=1)
+        return J[0] if single else J
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_chart(self, other)

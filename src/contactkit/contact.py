@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
-from .expressions import EvalDomainError, ScalarExpr, _jets_of, _values_of, const, parse
+from .expressions import EvalDomainError, ScalarExpr, _as_batch, _jets_of, _values_of, const, parse
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -226,16 +226,6 @@ def _make_result(
         witness=tuple(float(c) for c in points[idx]),
         detail=detail or {},
     )
-
-
-def _as_batch(points, dim: int) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"points must have shape (n, {dim}) or ({dim},), got {pts.shape}")
-    return pts, single
 
 
 def _require_on_chart(chart: Chart, what: str, *exprs: ScalarExpr) -> None:
@@ -625,6 +615,33 @@ class ScalarEvaluator:
         return float(self._compute(_Geometry(self.system, pts))[0])
 
 
+class _CrossCheckedDefect:
+    """Pointwise ``dEta(X_h, X_f)``, with the running worst residual of its
+    cross-check against the expansion ``X_h f - X_f h - {h, f}``.  Kept
+    apart from the evaluator that calls it, so the evaluator holds no bound
+    method of its own and is freed without the cyclic collector."""
+
+    def __init__(self, h: ScalarExpr, f: ScalarExpr):
+        self.h = h
+        self.f = f
+        self.max_cross = 0.0
+        self.seen = 0
+        self.witness: tuple[float, ...] | None = None
+
+    def __call__(self, geometry: _Geometry) -> np.ndarray:
+        sh = geometry.solved(self.h)
+        sf = geometry.solved(self.f)
+        defect = geometry.two_form_pairing(sh, sf)
+        expansion = _directional(sh, sf) - _directional(sf, sh) - geometry.bracket(sh, sf)
+        cross = np.abs(defect - expansion)
+        i = int(np.argmax(cross))
+        if cross[i] >= self.max_cross:
+            self.max_cross = float(cross[i])
+            self.witness = tuple(float(c) for c in geometry.points[i])
+        self.seen += len(geometry.points)
+        return defect
+
+
 class IsotropyDefectEvaluator(ScalarEvaluator):
     """Pointwise ``dEta(X_h, X_f)``, cross-checked against the expansion
     ``X_h f - X_f h - {h, f}`` at every evaluation.
@@ -643,33 +660,18 @@ class IsotropyDefectEvaluator(ScalarEvaluator):
         self.h = h
         self.f = f
         self._tolerance = resolve_tolerance("isotropy_identity", tolerances)
-        self._max_cross = 0.0
-        self._seen = 0
-        self._witness: tuple[float, ...] | None = None
-        super().__init__(system, self._defect)
-
-    def _defect(self, geometry: _Geometry) -> np.ndarray:
-        sh = geometry.solved(self.h)
-        sf = geometry.solved(self.f)
-        defect = geometry.two_form_pairing(sh, sf)
-        expansion = _directional(sh, sf) - _directional(sf, sh) - geometry.bracket(sh, sf)
-        cross = np.abs(defect - expansion)
-        i = int(np.argmax(cross))
-        if cross[i] >= self._max_cross:
-            self._max_cross = float(cross[i])
-            self._witness = tuple(float(c) for c in geometry.points[i])
-        self._seen += len(geometry.points)
-        return defect
+        super().__init__(system, _CrossCheckedDefect(h, f))
 
     @property
     def cross_check(self) -> CheckResult:
+        defect = self._compute
         return CheckResult(
             name="isotropy_identity",
-            passed=bool(self._max_cross <= self._tolerance),
-            max_residual=self._max_cross,
-            samples=self._seen,
+            passed=bool(defect.max_cross <= self._tolerance),
+            max_residual=defect.max_cross,
+            samples=defect.seen,
             tolerance=self._tolerance,
-            witness=self._witness,
+            witness=defect.witness,
         )
 
 

@@ -28,13 +28,13 @@ nodes of an expression, not the nodes of the tree it writes out to
 
 Values and jets are computed by one tape.  A single iterative compile of one
 or more roots lists their distinct nodes in topological order, with each
-node's operand steps and its last reader.  An order-0 loop over it computes
-values, an order-2 loop values, gradients and Hessians; both compute each
-distinct node once, with the arithmetic and domain checks of a recursive
-walk, and drop each array after its last reader, and the order-2 loop hands
-out each root's jet as soon as it is computed.  Symbolic differentiation and
-printing walk the DAG with explicit stacks too, so no expression is too deep
-to evaluate, jet, differentiate or print.
+node's operand steps and its last reader.  One loop over it computes each
+distinct node's value, and its gradient and Hessian when derivatives are
+asked for, once, with the arithmetic and domain checks of a recursive walk;
+it drops each array after its last reader and hands out each root's result
+as soon as it is computed.  Symbolic differentiation and printing walk the
+DAG with explicit stacks too, so no expression is too deep to evaluate, jet,
+differentiate or print.
 """
 
 from __future__ import annotations
@@ -584,7 +584,7 @@ def _pow(a: _Node, k: int) -> _Node:
 
 
 # ---------------------------------------------------------------------------
-# the DAG as a whole: compile, substitution, the tapes of orders 0 and 2
+# the DAG as a whole: compile, substitution, the tape of values and jets
 # ---------------------------------------------------------------------------
 
 
@@ -670,88 +670,43 @@ def _subst(root: _Node, table: Sequence[_Node]) -> _Node:
     return done[root]
 
 
-@np.errstate(all="ignore")
-def _evaluate(roots: Sequence[_Node], points: np.ndarray) -> list[np.ndarray]:
-    """The values of ``roots`` at ``points`` (n, dim), by the order-0 tape.
-
-    Each distinct node is computed once from its operands' arrays, with a
-    recursive walk's arithmetic (``a / b``, ``a**k``) and domain checks, and
-    an array is dropped after the step that last reads it.  The returned
-    arrays may be shared or views of ``points``; callers copy them.  An
-    overflow gives ``inf`` or ``nan`` without a numpy warning, as in
-    :func:`_jets_of`.
-    """
-    nodes, arg_a, arg_b, last, steps = _compile(roots)
-    for k in steps:
-        last[k] = len(nodes)  # the roots are returned, never dropped
-    n = len(points)
-    vals: list = [None] * len(nodes)
-    for k, node in enumerate(nodes):
-        a, b = arg_a[k], arg_b[k]
-        t = type(node)
-        if t is _Mul:
-            v = vals[a] * vals[b]
-        elif t is _Add:
-            v = vals[a] + vals[b]
-        elif t is _Sub:
-            v = vals[a] - vals[b]
-        elif t is _Coord:
-            v = points[:, node.i]
-        elif t is _Const:
-            v = np.full(n, node.v)
-        elif t is _Pow:
-            va = vals[a]
-            if node.k < 0 and np.any(va == 0.0):
-                raise EvalDomainError("zero raised to a negative power")
-            v = va**node.k
-        elif t is _Neg:
-            v = -vals[a]
-        elif t is _Div:
-            vb = vals[b]
-            if np.any(vb == 0.0):
-                raise EvalDomainError("division by zero during evaluation")
-            v = vals[a] / vb
-        else:
-            va = vals[a]
-            fn = node.fn
-            if fn == "sin":
-                v = np.sin(va)
-            elif fn == "cos":
-                v = np.cos(va)
-            elif fn == "exp":
-                v = np.exp(va)
-            else:
-                if np.any(va < 0.0):
-                    raise EvalDomainError("sqrt of negative value")
-                v = np.sqrt(va)
-        vals[k] = v
-        if a >= 0 and last[a] == k:
-            vals[a] = None
-        if b >= 0 and last[b] == k:
-            vals[b] = None
-    return [vals[k] for k in steps]
+def _as_batch(points, dim: int) -> tuple[np.ndarray, bool]:
+    """``points`` as an ``(n, dim)`` float array, and whether they were one
+    point of shape ``(dim,)``."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points must have shape (n, {dim}) or ({dim},), got {pts.shape}")
+    return pts, single
 
 
 @np.errstate(all="ignore")
 def _jets_of(
-    exprs: Sequence[ScalarExpr], points: np.ndarray, take: Callable[..., None]
+    exprs: Sequence[ScalarExpr],
+    points: np.ndarray,
+    take: Callable[..., None],
+    derivatives: bool = True,
 ) -> None:
-    """The jets of several expressions over one chart at a batch of points,
-    from one order-2 tape.
+    """The values, and with ``derivatives`` the jets, of several expressions
+    over one chart at a batch of ``points`` of shape (n, dim), from one tape.
 
     Each distinct node's value, gradient and Hessian are computed once from
     its operands' with a recursive walk's arithmetic, term for term, and
     domain checks; ``None`` stands for an identically zero gradient or
-    Hessian, and a constant's value stays a scalar.  As soon as the tape has
-    computed ``exprs[r]`` it calls ``take(r, v, g, h)``, which must copy what
-    it keeps: the arrays may be shared or views of ``points``.  Afterwards,
-    as for every step, the tape keeps the arrays only until the last step
-    that reads them.  An overflow gives ``inf`` or ``nan`` without a numpy
-    warning, in ``take`` too.
+    Hessian, and a constant's value stays a scalar.  Without
+    ``derivatives`` every gradient and Hessian is ``None``, nothing of them
+    is computed, and sqrt at 0 does not raise.  The two orders divide as
+    their recursive walks do: values by ``a / b``, jets by ``a * (1 / b)``.
+    As soon as the tape has computed ``exprs[r]`` it calls ``take(r, v, g,
+    h)``, which must copy what it keeps: the arrays may be shared or views of
+    ``points``.  Afterwards, as for every step, the tape keeps the arrays
+    only until the last step that reads them.  An overflow gives ``inf`` or
+    ``nan`` without a numpy warning, in ``take`` too.
     """
     if not exprs:
         return
-    points = exprs[0]._check_points(points)
     nodes, arg_a, arg_b, last, steps = _compile([e._root for e in exprs])
     due = sorted(zip(steps, range(len(steps))))
     due.append((-1, -1))
@@ -760,42 +715,56 @@ def _jets_of(
     V: list = [None] * len(nodes)
     G: list = [None] * len(nodes)
     H: list = [None] * len(nodes)
+    g = h = None
     for k, node in enumerate(nodes):
         a, b = arg_a[k], arg_b[k]
         t = type(node)
         if t is _Mul:
-            va, ga, ha = V[a], G[a], H[a]
-            vb, gb, hb = V[b], G[b], H[b]
+            va, vb = V[a], V[b]
             v = va * vb
-            g = _gadd(_gscale(va, gb), _gscale(vb, ga))
-            h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
+            if derivatives:
+                ga, ha, gb, hb = G[a], H[a], G[b], H[b]
+                g = _gadd(_gscale(va, gb), _gscale(vb, ga))
+                h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
         elif t is _Add:
-            v, g, h = V[a] + V[b], _gadd(G[a], G[b]), _gadd(H[a], H[b])
+            v = V[a] + V[b]
+            if derivatives:
+                g, h = _gadd(G[a], G[b]), _gadd(H[a], H[b])
         elif t is _Sub:
-            v, g, h = V[a] - V[b], _gsub(G[a], G[b]), _gsub(H[a], H[b])
+            v = V[a] - V[b]
+            if derivatives:
+                g, h = _gsub(G[a], G[b]), _gsub(H[a], H[b])
         elif t is _Coord:
-            v, g, h = points[:, node.i], np.zeros((n, dim)), None
-            g[:, node.i] = 1.0
+            v = points[:, node.i]
+            if derivatives:
+                g, h = np.zeros((n, dim)), None
+                g[:, node.i] = 1.0
         elif t is _Const:
             v, g, h = node.v, None, None
         elif t is _Neg:
-            v, g, h = -V[a], _gscale(-1.0, G[a]), _gscale(-1.0, H[a])
+            v = -V[a]
+            if derivatives:
+                g, h = _gscale(-1.0, G[a]), _gscale(-1.0, H[a])
         elif t is _Div:
-            vb, gb, hb = V[b], G[b], H[b]
+            va, vb = V[a], V[b]
             if np.any(vb == 0.0):
                 raise EvalDomainError("division by zero during evaluation")
-            u = 1.0 / vb
-            u2 = u * u
-            gu = _gscale(-u2, gb)
-            hu = _gadd(_gscale(-u2, hb), _gscale(2.0 * u2 * u, _outer_self(gb)))
-            va, ga, ha = V[a], G[a], H[a]
-            v = va * u
-            g = _gadd(_gscale(va, gu), _gscale(u, ga))
-            h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
+            if derivatives:
+                gb, hb = G[b], H[b]
+                u = 1.0 / vb
+                u2 = u * u
+                gu = _gscale(-u2, gb)
+                hu = _gadd(_gscale(-u2, hb), _gscale(2.0 * u2 * u, _outer_self(gb)))
+                ga, ha = G[a], H[a]
+                v = va * u
+                g = _gadd(_gscale(va, gu), _gscale(u, ga))
+                h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
+            else:
+                v = va / vb
         else:
             # powers and functions of a constant see it as an array, as
             # numpy's array and scalar kernels need not round alike
-            va, ga, ha = V[a], G[a], H[a]
+            va = V[a]
             if not isinstance(va, np.ndarray):
                 va = np.full(n, va)
             if t is _Pow:
@@ -803,38 +772,46 @@ def _jets_of(
                 if e < 0 and np.any(va == 0.0):
                     raise EvalDomainError("zero raised to a negative power")
                 v = va**e
-                d1 = _power_term(e, va, e - 1)
-                g = _gscale(d1, ga)
-                h = _gadd(
-                    _gscale(d1, ha),
-                    _gscale(_power_term(e * (e - 1), va, e - 2), _outer_self(ga)),
-                )
+                if derivatives:
+                    ga = G[a]
+                    d1 = _power_term(e, va, e - 1)
+                    g = _gscale(d1, ga)
+                    h = _gadd(
+                        _gscale(d1, H[a]),
+                        _gscale(_power_term(e * (e - 1), va, e - 2), _outer_self(ga)),
+                    )
             else:
                 fn = node.fn
                 if fn == "sin":
-                    v, d1, d2 = np.sin(va), np.cos(va), None
+                    v = np.sin(va)
+                    if derivatives:
+                        d1, d2 = np.cos(va), -v
                 elif fn == "cos":
-                    v, d1, d2 = np.cos(va), -np.sin(va), None
+                    v = np.cos(va)
+                    if derivatives:
+                        d1, d2 = -np.sin(va), -v
                 elif fn == "exp":
-                    v = np.exp(va)
-                    d1, d2 = v, v
+                    v = d1 = d2 = np.exp(va)
                 else:  # sqrt
                     if np.any(va < 0.0):
                         raise EvalDomainError("sqrt of negative value")
-                    if np.any(va == 0.0):
+                    if derivatives and np.any(va == 0.0):
                         raise EvalDomainError("sqrt derivative undefined at zero")
                     v = np.sqrt(va)
-                    d1 = 0.5 / v
-                    d2 = -0.25 / (va * v)
-                if d2 is None:  # second derivative of sin/cos is -value
-                    d2 = -v
-                g = _gscale(d1, ga)
-                h = _gadd(_gscale(d1, ha), _gscale(d2, _outer_self(ga)))
+                    if derivatives:
+                        d1 = 0.5 / v
+                        d2 = -0.25 / (va * v)
+                if derivatives:
+                    ga = G[a]
+                    g = _gscale(d1, ga)
+                    h = _gadd(_gscale(d1, H[a]), _gscale(d2, _outer_self(ga)))
         while due[i][0] == k:
             take(due[i][1], v, g, h)
             i += 1
         if last[k] >= 0:
-            V[k], G[k], H[k] = v, g, h
+            V[k] = v
+            if derivatives:
+                G[k], H[k] = g, h
         if a >= 0 and last[a] == k:
             V[a] = G[a] = H[a] = None
         if b >= 0 and last[b] == k:
@@ -1028,8 +1005,7 @@ class ScalarExpr:
             return None
         if type(root) is _Const:
             return root.v
-        point = np.zeros((1, max(len(self.coords), 1)))
-        return float(_evaluate((root,), point)[0][0])
+        return float(_values_of((self,), np.zeros((1, len(self.coords))))[0][0])
 
     def node_counts(self) -> tuple[int, int]:
         """``(tree_nodes, distinct_nodes)``: the size of the expression written
@@ -1042,17 +1018,6 @@ class ScalarExpr:
         return size[len(nodes) - 1], len(nodes)
 
     # -- evaluation -------------------------------------------------------
-
-    def _check_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] != len(self.coords):
-            raise ValueError(
-                f"points must have {len(self.coords)} coordinates, got shape {pts.shape}"
-            )
-        return pts
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape (n,)."""
@@ -1067,7 +1032,7 @@ class ScalarExpr:
         Domain errors raise :class:`EvalDomainError`; an overflow gives
         ``inf`` or ``nan`` entries without a numpy warning, and the callers
         that need finite values check for them."""
-        pts = self._check_points(points)
+        pts = _as_batch(points, len(self.coords))[0]
         n, d = pts.shape
         got = []
         _jets_of((self,), pts, lambda r, *jet: got.append(jet))
@@ -1177,9 +1142,15 @@ def _values_of(exprs: Sequence[ScalarExpr], points: np.ndarray) -> list[np.ndarr
     shape (n,) each, from one shared tape; every array is a fresh copy."""
     if not exprs:
         return []
-    pts = exprs[0]._check_points(points)
-    arrays = _evaluate([e._root for e in exprs], pts)
-    return [np.array(v, dtype=float) for v in arrays]
+    pts = _as_batch(points, len(exprs[0].coords))[0]
+    n = len(pts)
+    values: list = [None] * len(exprs)
+
+    def take(r, v, g, h):
+        values[r] = np.full(n, v)
+
+    _jets_of(exprs, pts, take, derivatives=False)
+    return values
 
 
 def parse(source: str, coords: Sequence[str]) -> ScalarExpr:

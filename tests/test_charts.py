@@ -254,6 +254,20 @@ def test_wedge_degree_overflow():
         wedge(wedge(alpha, beta), beta)
 
 
+# --- vector fields -----------------------------------------------------------
+
+
+def test_vector_field_single_point_and_batch_shapes():
+    X = vector_field(R3, {"x": "y*z", "y": "x"})
+    J = [[0.0, 3.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert X.evaluate((1.0, 2.0, 3.0)).tolist() == [6.0, 1.0, 0.0]
+    assert X.jacobian((1.0, 2.0, 3.0)).tolist() == J
+    assert X.evaluate(np.ones((4, 3))).shape == (4, 3)
+    assert X.jacobian(np.ones((4, 3))).shape == (4, 3, 3)
+    with pytest.raises(ValueError):
+        X.jacobian(np.ones((4, 2)))
+
+
 # --- interior product --------------------------------------------------------
 
 

@@ -740,12 +740,13 @@ class TestParallelVerify:
 
         monkeypatch.setattr(cli_module, "build_model", built)
         workers(count)
-        keys = ("darboux(1)", "heisenberg(1)")
+        # example_3_10's battery and report build isotropy-defect evaluators
+        keys = ("darboux(1)", "heisenberg(1)", "example_3_10")
         enabled = gc.isenabled()
         gc.disable()
         try:
             assert cli_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
-            assert len(systems) == 2 and all(ref() is None for ref in systems)
+            assert len(systems) == 3 and all(ref() is None for ref in systems)
         finally:
             if enabled:
                 gc.enable()
