@@ -251,36 +251,39 @@ class DifferentialForm:
         return dict(zip(keys, arrays))
 
     def max_abs(self, points: np.ndarray) -> np.ndarray:
-        """Pointwise max |coefficient|, shape (n,); zeros for the empty form."""
-        pts = np.asarray(points, dtype=float)
+        """Pointwise max |coefficient|, shape (n,), or (1,) for a single
+        point; zeros for the empty form."""
+        pts = _as_batch(points, self.chart.dim)[0]
         vals = self.coefficient_arrays(pts)
         if not vals:
             return np.zeros(len(pts))
         return np.max(np.abs(np.stack(list(vals.values()))), axis=0)
 
     def covector(self, points: np.ndarray) -> np.ndarray:
-        """Degree-1 coefficients as an (n, dim) array."""
+        """Degree-1 coefficients as an (n, dim) array (or (dim,) for a single
+        point)."""
         if self.degree != 1:
             raise FormDegreeError("covector() needs a 1-form")
-        pts = np.asarray(points, dtype=float)
+        pts, single = _as_batch(points, self.chart.dim)
         out = np.zeros((len(pts), self.chart.dim))
         arrays = _values_of(list(self.coefficients.values()), pts)
         for (i,), v in zip(self.coefficients, arrays):
             out[:, i] = v
-        return out
+        return out[0] if single else out
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
-        """Degree-2 pairing as an antisymmetric (n, dim, dim) array."""
+        """Degree-2 pairing as an antisymmetric (n, dim, dim) array (or (dim,
+        dim) for a single point)."""
         if self.degree != 2:
             raise FormDegreeError("matrix() needs a 2-form")
-        pts = np.asarray(points, dtype=float)
+        pts, single = _as_batch(points, self.chart.dim)
         d = self.chart.dim
         out = np.zeros((len(pts), d, d))
         arrays = _values_of(list(self.coefficients.values()), pts)
         for (i, j), v in zip(self.coefficients, arrays):
             out[:, i, j] = v
             out[:, j, i] = -v
-        return out
+        return out[0] if single else out
 
     # -- algebra ----------------------------------------------------------
 

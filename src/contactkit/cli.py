@@ -369,8 +369,6 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
 #: whole before any worker reads.
 _TASK = struct.Struct("<I")
 _MAX_PIPED_MODELS = 4096 // _TASK.size
-#: The length prefix of one pickled outcome on a worker's result pipe.
-_FRAME = struct.Struct("<Q")
 
 
 def _worker_count(models: int) -> int:
@@ -415,10 +413,10 @@ def _pulled(tasks: int):
 
 
 def _fork_worker(tasks: int, models: list, config: RunConfig):
-    """Fork a worker that pulls from ``tasks`` and sends each outcome back as a
-    length-prefixed pickle.  Returns its pid and the read end of its result
-    pipe.  The child imports nothing, starts no thread, writes nothing to the
-    parent's streams and leaves by ``os._exit``, whatever happens."""
+    """Fork a worker that pulls from ``tasks`` and sends each outcome back as
+    one pickle.  Returns its pid and the read end of its result pipe.  The
+    child imports nothing, starts no thread, writes nothing to the parent's
+    streams and leaves by ``os._exit``, whatever happens."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -432,8 +430,7 @@ def _fork_worker(tasks: int, models: list, config: RunConfig):
             with os.fdopen(write_end, "wb") as results:
 
                 def send(index, outcome):
-                    payload = pickle.dumps((index, outcome), pickle.HIGHEST_PROTOCOL)
-                    results.write(_FRAME.pack(len(payload)) + payload)
+                    pickle.dump((index, outcome), results, pickle.HIGHEST_PROTOCOL)
                     results.flush()
 
                 _work(_pulled(tasks), models, config, send)
@@ -444,14 +441,13 @@ def _fork_worker(tasks: int, models: list, config: RunConfig):
 
 
 def _receive(results, outcomes: list) -> None:
-    """Read a worker's outcomes until it closes its pipe.  A frame cut short
-    means that the worker died while writing it."""
-    while len(header := results.read(_FRAME.size)) == _FRAME.size:
-        (size,) = _FRAME.unpack(header)
-        payload = results.read(size)
-        if len(payload) < size:
+    """Read a worker's outcomes until it closes its pipe.  A pickle cut
+    short means that the worker died while writing it."""
+    while True:
+        try:
+            index, outcome = pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
             return
-        index, outcome = pickle.loads(payload)
         outcomes[index] = outcome
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "InverseMismatchError",
     "HamiltonianFieldEvaluator",
     "ScalarEvaluator",
-    "IsotropyDefectEvaluator",
     "resolve_tolerance",
     "is_contact_form",
     "reeb_field",
@@ -533,7 +532,11 @@ def _directional(s_field: _Solved, s_fn: _Solved) -> np.ndarray:
 def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
     """The geometry kept on ``system`` if it is at the same points (the same
     array, or equal bytes), else a new one that replaces it.  One per system:
-    a battery runs all its checks on one sample set before moving on."""
+    a battery runs all its checks on one sample set before moving on.  A
+    one-point set is built apart and never kept: sharing it saves nothing,
+    and the batch geometry stays for the checks around it."""
+    if len(pts) == 1:
+        return _Geometry(system, pts)
     geometry = system._geometry
     if geometry is None or (geometry.points is not pts and geometry.key != pts.tobytes()):
         object.__setattr__(system, "_geometry", None)  # free the old one first
@@ -549,8 +552,8 @@ class HamiltonianFieldEvaluator:
     """Solver-backed vector field for one Hamiltonian function.
 
     Evaluates anywhere on the chart; the Reeb field is the ``hamiltonian = 1``
-    case.  Calls at the same points share the geometry kept on the system
-    (one inverse).
+    case.  Calls at the same batch of points share the geometry kept on the
+    system (one inverse).
     """
 
     def __init__(self, system: ContactSystem, hamiltonian: ScalarExpr):
@@ -608,71 +611,8 @@ class ScalarEvaluator:
         return self.evaluate(points)
 
     def at(self, point) -> float:
-        """The value at one point.  Sharing a one-point geometry saves
-        nothing, so it is built apart and the system keeps the geometry of
-        the batch checks around the call."""
-        pts, _ = _as_batch(np.asarray(point, dtype=float).reshape(-1), self.system.chart.dim)
-        return float(self._compute(_Geometry(self.system, pts))[0])
-
-
-class _CrossCheckedDefect:
-    """Pointwise ``dEta(X_h, X_f)``, with the running worst residual of its
-    cross-check against the expansion ``X_h f - X_f h - {h, f}``.  Kept
-    apart from the evaluator that calls it, so the evaluator holds no bound
-    method of its own and is freed without the cyclic collector."""
-
-    def __init__(self, h: ScalarExpr, f: ScalarExpr):
-        self.h = h
-        self.f = f
-        self.max_cross = 0.0
-        self.seen = 0
-        self.witness: tuple[float, ...] | None = None
-
-    def __call__(self, geometry: _Geometry) -> np.ndarray:
-        sh = geometry.solved(self.h)
-        sf = geometry.solved(self.f)
-        defect = geometry.two_form_pairing(sh, sf)
-        expansion = _directional(sh, sf) - _directional(sf, sh) - geometry.bracket(sh, sf)
-        cross = np.abs(defect - expansion)
-        i = int(np.argmax(cross))
-        if cross[i] >= self.max_cross:
-            self.max_cross = float(cross[i])
-            self.witness = tuple(float(c) for c in geometry.points[i])
-        self.seen += len(geometry.points)
-        return defect
-
-
-class IsotropyDefectEvaluator(ScalarEvaluator):
-    """Pointwise ``dEta(X_h, X_f)``, cross-checked against the expansion
-    ``X_h f - X_f h - {h, f}`` at every evaluation.
-
-    The running worst cross-check residual is exposed as ``cross_check``.
-    """
-
-    def __init__(
-        self,
-        system: ContactSystem,
-        h: ScalarExpr,
-        f: ScalarExpr,
-        tolerances: Mapping[str, float] | None = None,
-    ):
-        _require_on_chart(system.chart, "function", h, f)
-        self.h = h
-        self.f = f
-        self._tolerance = resolve_tolerance("isotropy_identity", tolerances)
-        super().__init__(system, _CrossCheckedDefect(h, f))
-
-    @property
-    def cross_check(self) -> CheckResult:
-        defect = self._compute
-        return CheckResult(
-            name="isotropy_identity",
-            passed=bool(defect.max_cross <= self._tolerance),
-            max_residual=defect.max_cross,
-            samples=defect.seen,
-            tolerance=self._tolerance,
-            witness=defect.witness,
-        )
+        """The value at one point."""
+        return self.evaluate(np.asarray(point, dtype=float).reshape(-1))
 
 
 # -- operations -----------------------------------------------------------
@@ -791,14 +731,10 @@ def verify_flow_identity(
     return _make_result("flow_identity", residuals, tol, pts, detail)
 
 
-def isotropy_defect(
-    system: ContactSystem,
-    h: ScalarExpr,
-    f: ScalarExpr,
-    tolerances: Mapping[str, float] | None = None,
-) -> IsotropyDefectEvaluator:
-    """Pointwise ``dEta(X_h, X_f)`` with a built-in identity cross-check."""
-    return IsotropyDefectEvaluator(system, h, f, tolerances)
+def isotropy_defect(system: ContactSystem, h: ScalarExpr, f: ScalarExpr) -> ScalarEvaluator:
+    """Pointwise values of ``dEta(X_h, X_f)``."""
+    _require_on_chart(system.chart, "function", h, f)
+    return ScalarEvaluator(system, lambda geo: geo.two_form_pairing(geo.solved(h), geo.solved(f)))
 
 
 def involution_table(

@@ -477,7 +477,7 @@ def basic_example() -> ModelDescriptor:
     dilation = vector_field(chart, {"y": "y", "z": "z"})
 
     def defect_is_y(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
-        evaluator = isotropy_defect(system, h, f, tolerances)
+        evaluator = isotropy_defect(system, h, f)
         pts = chart.sample(samples, seed)
         residuals = np.abs(evaluator.evaluate(pts) - pts[:, chart.index("y")])
         spot = evaluator.at((1.0, 2.0, 3.0))

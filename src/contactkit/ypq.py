@@ -30,6 +30,7 @@ from .contact import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     CheckResult,
+    _make_result,
     resolve_tolerance,
 )
 
@@ -292,16 +293,7 @@ def circle_pairing_check(
     weights = circle_weights(params)
     moduli = _sample_moduli(params, count, seed)
     values = np.abs(moduli @ np.asarray(weights, dtype=float))
-    worst = int(np.argmax(values))
-    return CheckResult(
-        name="circle_pairing_vanishes",
-        passed=bool(values[worst] <= tol),
-        max_residual=float(values[worst]),
-        samples=count,
-        tolerance=tol,
-        witness=tuple(float(m) for m in moduli[worst]),
-        detail={"weights": list(weights)},
-    )
+    return _make_result("circle_pairing_vanishes", values, tol, moduli, {"weights": list(weights)})
 
 
 def sasaki_cone_membership(

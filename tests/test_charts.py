@@ -268,6 +268,24 @@ def test_vector_field_single_point_and_batch_shapes():
         X.jacobian(np.ones((4, 2)))
 
 
+def test_form_single_point_is_row_zero_of_the_batch():
+    eta = one_form(R3, {"z": "1", "x": "-y"})
+    pts = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]])
+    cases = [
+        (eta.covector, (3,)),
+        (exterior_derivative(eta).matrix, (3, 3)),
+        (eta.max_abs, (1,)),
+        (DifferentialForm(R3, 1).max_abs, (1,)),
+    ]
+    for evaluate, shape in cases:
+        one, batch = evaluate(pts[0]), evaluate(pts)
+        assert one.shape == shape
+        assert one.reshape(batch[0].shape).tolist() == batch[0].tolist()
+        with pytest.raises(ValueError):
+            evaluate(np.ones((2, 2)))
+    assert eta.covector(pts[0]).tolist() == [-2.0, 0.0, 1.0]
+
+
 # --- interior product --------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -827,6 +828,20 @@ class TestParallelVerify:
         assert cli_module._worker_count(9) == (min(cpus + 1, 9) if cpus > 1 else 1)
         # A task list longer than one atomic pipe write runs in one process.
         assert cli_module._worker_count(cli_module._MAX_PIPED_MODELS + 1) == 1
+
+    def test_receive_keeps_whole_outcomes_of_a_cut_stream(self):
+        # A child that dies while writing leaves a pickle cut short at any byte.
+        model = build_model("example_3_10")
+        outcome = cli_module.model_battery(model, RunConfig(samples=16)), model.report_lines()
+        first = pickle.dumps((0, outcome), pickle.HIGHEST_PROTOCOL)
+        data = first + pickle.dumps((1, outcome), pickle.HIGHEST_PROTOCOL)
+        for cut in range(len(data)):
+            outcomes = [None, None]
+            cli_module._receive(io.BytesIO(data[:cut]), outcomes)
+            assert outcomes == [outcome if cut >= len(first) else None, None]
+        outcomes = [None, None]
+        cli_module._receive(io.BytesIO(data), outcomes)
+        assert outcomes == [outcome, outcome]
 
 
 class TestYpqCommand:

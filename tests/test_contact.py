@@ -560,17 +560,29 @@ class TestIsotropyDefect:
         pts = sys.chart.sample(64, SEED)
         assert np.max(np.abs(defect.evaluate(pts))) < 1e-12
 
-    def test_cross_check_accumulates(self):
-        sys = cosphere2()
-        defect = isotropy_defect(
-            sys, sys.chart.parse("x1*p1"), sys.chart.parse("x0 - p1^2")
-        )
-        defect.evaluate(sys.chart.sample(64, SEED))
-        defect.at((0.3, 0.4, 0.5))
-        check = defect.cross_check
-        assert check.name == "isotropy_identity"
-        assert check.samples == 65
-        assert check.passed
+    @pytest.mark.parametrize(
+        "make, h, f, point",
+        [
+            (darboux3, "x*z + y", "z - x^2", (1.0, -2.0, 3.0)),
+            (lambda: heisenberg(1), "x1*z + y1", "(x1^2 + y1^2)/2 - z", (0.5, -1.0, 2.0)),
+            (cosphere2, "x1*p1", "x0 - p1^2", (0.3, 0.4, 0.5)),
+        ],
+        ids=["darboux3", "heisenberg(1)", "cosphere2"],
+    )
+    def test_expansion_identity(self, make, h, f, point):
+        # dEta(X_h, X_f) = X_h f - X_f h - {h, f}, from the public evaluators.
+        sys = make()
+        h, f = sys.chart.parse(h), sys.chart.parse(f)
+        tol = TOLERANCES["isotropy_identity"]
+        for pts in (sys.chart.sample(64, SEED), np.array(point)):
+            X_h = hamiltonian_field(sys, h).evaluate(pts)
+            X_f = hamiltonian_field(sys, f).evaluate(pts)
+            expansion = (
+                np.sum(X_h * f.jets(pts)[1], axis=-1)
+                - np.sum(X_f * h.jets(pts)[1], axis=-1)
+                - jacobi_bracket(sys, h, f).evaluate(pts)
+            )
+            assert np.max(np.abs(isotropy_defect(sys, h, f).evaluate(pts) - expansion)) <= tol
 
 
 # -- involution table and independence ------------------------------------
@@ -1131,9 +1143,10 @@ class TestSharedFrame:
         geometry = sys._geometry
         assert abs(isotropy_defect(sys, h, f).at((1.0, 2.0, 3.0)) - 2.0) < 1e-12
         assert jacobi_bracket(sys, h, f).at((1.0, 2.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
+        assert hamiltonian_field(sys, h).evaluate((1.0, 2.0, 3.0)).tolist() == [1.0, 0.0, 0.0]
         assert sys._geometry is geometry
         is_good(sys, h, seed=SEED)
-        assert [shape[0] for shape in inv_calls] == [128, 1, 1]
+        assert [shape[0] for shape in inv_calls] == [128, 1, 1, 1]
 
     def test_slot_keeps_no_expression_data(self):
         sys = heisenberg(1)
