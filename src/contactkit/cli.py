@@ -326,39 +326,34 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
     fixed factor, and -- for every closed-form (field, Hamiltonian) pair --
     the lift invariances and the induced-Hamiltonian contraction, with the
     commuting family checked jointly.  Checks from per-pair constructions are
-    disambiguated as ``name[hamiltonian]``.
+    disambiguated as ``name[hamiltonian]``.  The battery builds the cone once
+    and lifts each pair once, and passes them to every check that needs them.
     """
     overrides = config.overrides
     samples, seed = config.samples, config.seed
-    # Held for the whole battery, so the facts that build the same cone
-    # (example_3_10's lifts, scale covariance) reuse it with its lifts.
     cone = build_cone(model.system, verify=False)
     entries = [(fact.name, fact.run(samples, seed, overrides)) for fact in model.expected]
     entries.append(("cone_closure", closure_check(cone, samples, seed, overrides)))
     entries.append(("cone_nondegeneracy", nondegeneracy_check(cone, samples, seed, overrides)))
     entries.append(("cone_homogeneity", homogeneity_check(cone, samples, seed, overrides)))
     entries.append(
-        (
-            "scale_covariance",
-            scale_covariance_check(model.system, _SCALE_FACTOR, samples, seed, overrides),
-        )
+        ("scale_covariance", scale_covariance_check(cone, _SCALE_FACTOR, samples, seed, overrides))
     )
+    lifts = {}
     for vector, hamiltonian in model.hamiltonian_pairs:
         suffix = str(hamiltonian)
-        lifted = lift(
+        lifted = lifts[vector, hamiltonian] = lift(
             cone, vector, hamiltonian, samples=samples, seed=seed, tolerances=overrides,
             verify=False,
         )
         for result in lift_checks(cone, lifted, samples, seed, overrides):
             entries.append((f"{result.name}[{suffix}]", result))
-        _, contraction = cone_hamiltonian(cone, vector, hamiltonian, samples, seed, overrides)
+        _, contraction = cone_hamiltonian(cone, lifted, hamiltonian, samples, seed, overrides)
         entries.append((f"{contraction.name}[{suffix}]", contraction))
     if model.commuting_pairs:
+        family = [lifts[pair] for pair in model.commuting_pairs]
         entries.append(
-            (
-                "commuting_lifts",
-                commuting_lift_check(cone, model.commuting_pairs, samples, seed, overrides),
-            )
+            ("commuting_lifts", commuting_lift_check(cone, family, samples, seed, overrides))
         )
     entries.sort(key=lambda entry: entry[0])
     return entries
@@ -519,7 +514,8 @@ def cmd_verify(model_keys: Sequence[str], config: RunConfig, stream) -> int:
             if item not in requested:
                 requested.append(item)
     try:
-        models = [build_model(key) for key in requested]
+        # One model per normalized key: "darboux( 1 )" is darboux(1).
+        models = list({model.key: model for model in map(build_model, requested)}.values())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     keys = [model.key for model in models]

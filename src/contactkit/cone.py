@@ -22,8 +22,9 @@ and large cone radii are exercised.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,9 +100,9 @@ class ConeSystem:
     ``cone_chart`` extends the base chart by the radial coordinate (always the
     last coordinate, drawn log-uniformly when sampling); ``eta`` is the base
     contact form re-indexed onto the cone chart, ``omega = d(r^2 eta)`` the
-    symplectic form, and ``liouville`` the field ``r d/dr``.  The lifted
-    fields of :func:`lift` are kept on the cone (see :func:`_lifted`); they
-    take no part in equality or hashing.
+    symplectic form, and ``liouville`` the field ``r d/dr``.  Lifted fields
+    are not kept on the cone: a caller that needs one more than once lifts
+    it once with :func:`lift` and passes it on.
     """
 
     base: ContactSystem
@@ -109,7 +110,6 @@ class ConeSystem:
     eta: DifferentialForm
     omega: DifferentialForm
     liouville: VectorField
-    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def radial(self) -> str:
@@ -141,25 +141,22 @@ def build_cone(
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
 ) -> ConeSystem:
-    """Symplectize ``system``.
+    """Symplectize ``system`` over the radial interval ``radial_bounds``,
+    which must be finite with ``0 < lo < hi``.
 
-    The cone is built once per radial bounds and kept on ``system`` while
-    any caller holds it, so those calls return the same :class:`ConeSystem`
-    and share its lifts.
-    With ``verify`` (the default) each call checks that ``omega`` is
-    closed and nondegenerate on a seeded sample and raises
-    :class:`ContactConditionError` otherwise -- a degenerate base form shows
-    up here as a degenerate cone form.
+    Each call builds a new :class:`ConeSystem`; a caller that needs the cone
+    more than once builds it once and passes it on.  With ``verify`` (the
+    default) the call checks that ``omega`` is closed and nondegenerate on a
+    seeded sample and raises :class:`ContactConditionError` otherwise -- a
+    degenerate base form shows up here as a degenerate cone form.
     """
     chart = system.chart
     if RADIAL in chart.coords:
         raise ValueError(f"base chart already uses coordinate {RADIAL!r}")
     lo, hi = radial_bounds
-    if not 0.0 < lo < hi:
-        raise ValueError("radial bounds must satisfy 0 < lo < hi")
-    cone = system._cones.get((lo, hi))
-    if cone is None:
-        cone = system._cones[(lo, hi)] = _symplectization(system, lo, hi)
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ValueError("radial bounds must be finite and satisfy 0 < lo < hi")
+    cone = _symplectization(system, lo, hi)
     if verify:
         for check in (
             closure_check(cone, samples=samples, seed=seed, tolerances=tolerances),
@@ -274,42 +271,42 @@ def homogeneity_check(
 
 
 def scale_covariance_check(
-    system: ContactSystem,
+    cone: ConeSystem,
     factor: float,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
-    radial_bounds: tuple[float, float] = DEFAULT_RADIAL_BOUNDS,
 ) -> CheckResult:
     """Rescaling ``eta`` by ``c > 0`` while substituting ``r -> r / sqrt(c)``
     leaves the cone form unchanged.
 
-    The check builds the cones over ``(M, eta)`` and ``(M, c eta)`` and pulls
-    the second cone form back through the correspondence
-    ``(x, r) -> (x, r / sqrt(c))``; since the substitution also turns ``dr``
-    into ``dr / sqrt(c)``, the pulled-back pairing matrix carries a factor
-    ``1 / sqrt(c)`` on the radial row and column.  The result is compared
-    with the plain cone form at the original points.
+    ``cone`` is the cone over ``(M, eta)``.  The check builds the cone over
+    ``(M, c eta)`` on the same radial bounds and pulls its form back through
+    the correspondence ``(x, r) -> (x, r / sqrt(c))``; since the substitution
+    also turns ``dr`` into ``dr / sqrt(c)``, the pulled-back pairing matrix
+    carries a factor ``1 / sqrt(c)`` on the radial row and column.  The
+    result is compared with the form of ``cone`` at the original points.
+    ``factor`` must be positive and finite.
     """
-    if factor <= 0.0:
-        raise ValueError("scale factor must be positive")
+    if not (factor > 0.0 and math.isfinite(factor)):
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     tol = resolve_tolerance("scale_covariance", tolerances)
-    plain = build_cone(system, radial_bounds=radial_bounds, verify=False)
+    system = cone.base
     rescaled = ContactSystem(
         chart=system.chart,
         eta=system.eta.scaled(float(factor)),
         name=f"{system.name or system.chart.name}*{factor:g}",
         verify=False,
     )
-    shrunk = build_cone(rescaled, radial_bounds=radial_bounds, verify=False)
-    pts = plain.cone_chart.sample(samples, seed)
+    shrunk = build_cone(rescaled, radial_bounds=cone.cone_chart.bounds[-1], verify=False)
+    pts = cone.cone_chart.sample(samples, seed)
     moved = pts.copy()
     root = np.sqrt(factor)
     moved[:, -1] /= root
     pulled = shrunk.omega.matrix(moved)
     pulled[:, -1, :] /= root
     pulled[:, :, -1] /= root
-    diff = plain.omega.matrix(pts) - pulled
+    diff = cone.omega.matrix(pts) - pulled
     residuals = np.max(np.abs(diff), axis=(1, 2))
     return _make_result("scale_covariance", residuals, tol, pts, {"factor": float(factor)})
 
@@ -353,37 +350,12 @@ def lift(
         lift(X) = X - (a / 2) r d/dr.
 
     With ``verify`` the lifted field is additionally checked to preserve
-    ``omega`` and to commute with the Liouville field.  The lifted field is
-    kept on ``cone``, so a second call with the same pair, samples, seed
-    and ``lift_precondition`` tolerance does not check the precondition
-    again.
+    ``omega`` and to commute with the Liouville field.  Every call checks
+    the precondition and builds the lift anew; :func:`cone_hamiltonian` and
+    :func:`commuting_lift_check` take the lifted field, so one lift serves
+    them all.
     """
-    lifted = _lifted(cone, field, hamiltonian, samples, seed, tolerances)
-    if verify:
-        for check in lift_checks(cone, lifted, samples=samples, seed=seed, tolerances=tolerances):
-            if not check.passed:
-                raise GeometricError(
-                    f"lifted field fails {check.name}: "
-                    f"residual {check.max_residual:.3e} at {check.witness}"
-                )
-    return lifted
-
-
-def _lifted(
-    cone: ConeSystem,
-    field: VectorField,
-    hamiltonian: ScalarExpr,
-    samples: int,
-    seed: int,
-    tolerances: Mapping[str, float] | None,
-) -> VectorField:
-    """The lift of ``field`` once its precondition has held on ``samples``
-    base points; kept on ``cone`` per (pair, samples, seed, tolerance)."""
     tol = resolve_tolerance("lift_precondition", tolerances)
-    key = (field, hamiltonian, samples, seed, tol)
-    lifted = cone._lifts.get(key)
-    if lifted is not None:
-        return lifted
     base = cone.base
     rate = reeb_rate(base, hamiltonian)
     pts = base.chart.sample(samples, seed)
@@ -396,9 +368,14 @@ def _lifted(
             f"max |L_X eta - a eta| = {float(residuals[worst]):.3e} > {tol:g} "
             f"at {tuple(float(c) for c in pts[worst])}"
         )
-    lifted = cone._lifts[key] = cone.extend(field) - cone.liouville.scaled(
-        cone.to_cone(rate) * 0.5
-    )
+    lifted = cone.extend(field) - cone.liouville.scaled(cone.to_cone(rate) * 0.5)
+    if verify:
+        for check in lift_checks(cone, lifted, samples=samples, seed=seed, tolerances=tolerances):
+            if not check.passed:
+                raise GeometricError(
+                    f"lifted field fails {check.name}: "
+                    f"residual {check.max_residual:.3e} at {check.witness}"
+                )
     return lifted
 
 
@@ -429,7 +406,7 @@ def lift_checks(
 
 def cone_hamiltonian(
     cone: ConeSystem,
-    field: VectorField,
+    lifted: VectorField,
     hamiltonian: ScalarExpr,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
@@ -437,11 +414,11 @@ def cone_hamiltonian(
 ) -> tuple[ScalarExpr, CheckResult]:
     """The induced Hamiltonian ``r^2 h`` on the cone, with its defining check.
 
-    Returns the homogeneous function ``H = r^2 h`` together with the check
-    that the lifted field contracted into ``omega`` equals ``-dH`` at seeded
-    cone samples.
+    ``lifted`` is the field that :func:`lift` returns for the Hamiltonian
+    field of ``hamiltonian``.  Returns the homogeneous function ``H = r^2 h``
+    together with the check that ``lifted`` contracted into ``omega`` equals
+    ``-dH`` at seeded cone samples.
     """
-    lifted = _lifted(cone, field, hamiltonian, samples, seed, tolerances)
     induced = cone.radial_coordinate() ** 2 * cone.to_cone(hamiltonian)
     defect = interior_product(lifted, cone.omega) + exterior_derivative(
         zero_form(cone.cone_chart, induced)
@@ -453,24 +430,23 @@ def cone_hamiltonian(
 
 def commuting_lift_check(
     cone: ConeSystem,
-    pairs: Sequence[tuple[VectorField, ScalarExpr]],
+    lifted_fields: Sequence[VectorField],
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
 ) -> CheckResult:
     """Pairwise commutation of lifted fields, with the family's pointwise rank.
 
-    ``pairs`` lists ``(field, hamiltonian)`` with ``hamiltonian = eta(field)``
-    on the base chart; the fields are expected to commute there.  The check
-    passes iff every pairwise bracket of the lifted fields vanishes
-    componentwise at the samples.  ``detail`` records the observed pointwise
-    rank of the lifted family -- for a completely integrable family of
-    ``n + 1`` commuting fields the expected rank is ``n + 1``.
+    ``lifted_fields`` are fields that :func:`lift` returns for Hamiltonian
+    fields expected to commute on the base chart.  The check passes iff
+    every pairwise bracket vanishes componentwise at the samples.
+    ``detail`` records the observed pointwise rank of the family -- for a
+    completely integrable family of ``n + 1`` commuting fields the expected
+    rank is ``n + 1``.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("commuting lift check needs at least one (field, hamiltonian) pair")
-    lifted = [_lifted(cone, X, h, samples, seed, tolerances) for X, h in pairs]
+    lifted = list(lifted_fields)
+    if not lifted:
+        raise ValueError("commuting lift check needs at least one lifted field")
     pts = cone.cone_chart.sample(samples, seed)
     residuals = np.zeros(len(pts))
     for i in range(len(lifted)):

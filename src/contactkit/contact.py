@@ -27,7 +27,6 @@ equations.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -253,14 +252,10 @@ class ContactSystem:
     a deliberately degenerate system, e.g. to demonstrate a failing
     :func:`is_contact_form`.
 
-    The cones that :func:`contactkit.cone.build_cone` builds over the system
-    are kept on it, one per radial bounds, for as long as a caller holds
-    them: a cone refers back to its system, so a strong reference would make
-    a cycle that only the cyclic garbage collector frees, and a dropped
-    model's sampled points would outlive it.  The geometry of the system at
-    the points of its latest check (see :func:`_shared_geometry`) is kept on
-    it too, and refers to nothing of the system, so it goes with the system.
-    Neither takes part in equality or hashing.
+    The geometry of the system at the points of its latest check (see
+    :func:`_shared_geometry`) is kept on it; it refers to nothing of the
+    system, so it goes with the system, and it takes no part in equality or
+    hashing.
     """
 
     chart: Chart
@@ -270,9 +265,6 @@ class ContactSystem:
     reeb: VectorField | None = None
     name: str = ""
     verify: InitVar[bool] = True
-    _cones: weakref.WeakValueDictionary = field(
-        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False
-    )
     _geometry: _Geometry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, verify: bool):

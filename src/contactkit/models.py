@@ -93,6 +93,8 @@ class ModelDescriptor:
     ``hamiltonian_pairs`` lists closed-form pairs ``(field, eta(field))``
     suitable for symplectization lifts; ``commuting_pairs`` is the subset
     forming a commuting family (the witness for complete integrability).
+    Each commuting pair must also be in ``hamiltonian_pairs``: the battery
+    checks the commuting family with the lifts it made for those.
     """
 
     key: str
@@ -101,6 +103,14 @@ class ModelDescriptor:
     hamiltonian_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
     commuting_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
     report_lines: Callable[[], tuple[str, ...]] | None = None
+
+    def __post_init__(self):
+        for pair in self.commuting_pairs:
+            if pair not in self.hamiltonian_pairs:
+                raise ValueError(
+                    f"model {self.key!r}: commuting pair [{pair[1]}] is not one of its "
+                    "hamiltonian_pairs"
+                )
 
     def verify_all(self, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> list[CheckResult]:
         return [fact.run(samples, seed) for fact in self.expected]
@@ -525,8 +535,11 @@ def basic_example() -> ModelDescriptor:
             (translation, h, "-(r^2 * y)"),
             (dilation, f, "r^2 * z"),
         ):
+            lifted = cone_mod.lift(
+                cone, base_field, hamiltonian, samples, seed, tolerances, verify=False
+            )
             induced, contraction = cone_mod.cone_hamiltonian(
-                cone, base_field, hamiltonian, samples, seed, tolerances
+                cone, lifted, hamiltonian, samples, seed, tolerances
             )
             expected = parse(expected_source, cone.cone_chart.coords)
             residuals = np.maximum(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,14 +82,14 @@ class TestBasicExampleDossier:
         # acquires the radial correction -r/2.
         cone = build_cone(system, verify=False)
         cone_pts = cone.cone_chart.sample(128, SEED)
-        lifted_h = lift(cone, vector_field(chart, {"x": "1"}), h, verify=False)
+        lifted_h = lift(cone, vector_field(chart, {"x": "1"}), h, samples=128, verify=False)
         target_h = vector_field(cone.cone_chart, {"x": "1"})
         assert (
             float(np.max(np.abs(lifted_h.evaluate(cone_pts) - target_h.evaluate(cone_pts))))
             < 1e-9
         )
         dilation = vector_field(chart, {"y": "y", "z": "z"})
-        lifted_f = lift(cone, dilation, f, verify=False)
+        lifted_f = lift(cone, dilation, f, samples=128, verify=False)
         target_f = vector_field(cone.cone_chart, {"y": "y", "z": "z", "r": "-r / 2"})
         assert (
             float(np.max(np.abs(lifted_f.evaluate(cone_pts) - target_f.evaluate(cone_pts))))
@@ -96,14 +97,14 @@ class TestBasicExampleDossier:
         )
 
         # Induced homogeneous Hamiltonians on the cone: -r^2 y and r^2 z.
-        induced_h, check_h = cone_hamiltonian(cone, vector_field(chart, {"x": "1"}), h)
+        induced_h, check_h = cone_hamiltonian(cone, lifted_h, h)
         expected = cone.cone_chart.parse("-(r^2 * y)")
         assert (
             float(np.max(np.abs(induced_h.values(cone_pts) - expected.values(cone_pts))))
             < 1e-9
         )
         assert check_h.max_residual < 1e-9
-        induced_f, check_f = cone_hamiltonian(cone, dilation, f)
+        induced_f, check_f = cone_hamiltonian(cone, lifted_f, f)
         expected = cone.cone_chart.parse("r^2 * z")
         assert (
             float(np.max(np.abs(induced_f.values(cone_pts) - expected.values(cone_pts))))
@@ -361,3 +362,17 @@ class TestEnumerationCli:
             a = pairs[int(rng.integers(len(pairs)))]
             b = pairs[int(rng.integers(len(pairs)))]
             assert classify(a, b) == (a.p == b.p)
+
+
+class TestReadmeQuickStart:
+    """README's "Python quick start" block runs as written, so it follows
+    the API."""
+
+    def test_quick_start_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Python quick start\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -675,6 +675,14 @@ class TestParallelVerify:
         headers = [line for line in out.splitlines() if line.startswith("model ")]
         assert headers == ["model darboux(1)", "model example_3_10"]
 
+    def test_keys_that_normalize_alike_run_once(self, capsys):
+        once = run_cli(capsys, "verify", "darboux(1)", "--samples", "16")
+        code, out, err = run_cli(
+            capsys, "verify", "darboux(1)", "darboux( 1 )", "--samples", "16"
+        )
+        assert (code, out, err) == once
+        assert out.count("model darboux(1)\n") == 1
+
     TARGET = "heisenberg(1)"  # on the task pipe: the parent runs darboux(2)
     KEYS = ("darboux(1)", TARGET, "darboux(2)")
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactkit import cone as cone_module
+from contactkit.cli import RunConfig, model_battery
 from contactkit.charts import Chart, DifferentialForm, basis_field, one_form, vector_field
 from contactkit.cone import (
     ConeSystem,
@@ -131,6 +132,10 @@ class TestBuildCone:
         with pytest.raises(ValueError, match="radial bounds"):
             build_cone(darboux3(), radial_bounds=(0.0, 10.0))
 
+    def test_infinite_radial_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="radial bounds must be finite"):
+            build_cone(darboux3(), radial_bounds=(0.1, float("inf")))
+
 
 class TestClosureRoundingFloor:
     """``cone_closure`` on ``cosphere_torus(2)``, where the partials summed by
@@ -223,14 +228,19 @@ class TestLiouvilleScaling:
     @pytest.mark.parametrize("factor", [2.0, 5.0])
     def test_scale_covariance(self, factor):
         for system in (darboux3(), heisenberg(1)):
-            check = scale_covariance_check(system, factor, samples=64, seed=SEED)
+            check = scale_covariance_check(build_cone(system), factor, samples=64, seed=SEED)
             assert check.passed
             assert check.max_residual < 1e-9
             assert check.detail["factor"] == factor
 
     def test_scale_factor_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            scale_covariance_check(darboux3(), -2.0)
+            scale_covariance_check(build_cone(darboux3()), -2.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scale_factor_must_be_finite(self, factor):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scale_covariance_check(build_cone(darboux3()), factor)
 
 
 # -- symbolic Reeb derivative ----------------------------------------------
@@ -326,7 +336,8 @@ class TestConeHamiltonian:
         cone = build_cone(system)
         pts = cone.cone_chart.sample(64, SEED)
         for (field, h), expected_source in self.expected_cases(system):
-            induced, check = cone_hamiltonian(cone, field, h, samples=64, seed=SEED)
+            lifted = lift(cone, field, h, samples=64, seed=SEED, verify=False)
+            induced, check = cone_hamiltonian(cone, lifted, h, samples=64, seed=SEED)
             expected = parse(expected_source, cone.cone_chart.coords)
             np.testing.assert_allclose(
                 induced.values(pts), expected.values(pts), rtol=0, atol=1e-12
@@ -342,7 +353,8 @@ class TestConeHamiltonian:
         field = vector_field(
             system.chart, {"x1": "-y1", "y1": "x1", "z": "(x1^2 - y1^2) / 2"}
         )
-        induced, check = cone_hamiltonian(cone, field, h1, samples=64, seed=SEED)
+        lifted = lift(cone, field, h1, samples=64, seed=SEED, verify=False)
+        induced, check = cone_hamiltonian(cone, lifted, h1, samples=64, seed=SEED)
         pts = cone.cone_chart.sample(64, SEED)
         expected = parse("r^2 * (x1^2 + y1^2) / 2", cone.cone_chart.coords)
         np.testing.assert_allclose(induced.values(pts), expected.values(pts), rtol=0, atol=1e-12)
@@ -357,7 +369,8 @@ class TestCommutingLifts:
         system = darboux3()
         cone = build_cone(system)
         pairs = [translation_field(system), dilation_field(system)]
-        check = commuting_lift_check(cone, pairs, samples=128, seed=SEED)
+        lifted = [lift(cone, X, h, samples=128, seed=SEED, verify=False) for X, h in pairs]
+        check = commuting_lift_check(cone, lifted, samples=128, seed=SEED)
         assert check.passed
         assert check.max_residual < 1e-8
         assert check.detail["lifted_rank"] == 2
@@ -372,14 +385,16 @@ class TestCommutingLifts:
             system.chart, {"x1": "-y1", "y1": "x1", "z": "(x1^2 - y1^2) / 2"}
         )
         pairs = [(system.reeb, system.chart.parse("1")), (field, h1)]
-        check = commuting_lift_check(cone, pairs, samples=128, seed=SEED)
+        lifted = [lift(cone, X, h, samples=128, seed=SEED, verify=False) for X, h in pairs]
+        check = commuting_lift_check(cone, lifted, samples=128, seed=SEED)
         assert check.passed
         assert check.detail["lifted_rank"] == 2 == check.detail["expected_rank"]
 
     def test_single_field_is_trivially_commuting(self):
         system = darboux3()
         cone = build_cone(system)
-        check = commuting_lift_check(cone, [translation_field(system)], samples=32, seed=SEED)
+        lifted = lift(cone, *translation_field(system), samples=32, seed=SEED, verify=False)
+        check = commuting_lift_check(cone, [lifted], samples=32, seed=SEED)
         assert check.passed
         assert check.max_residual == 0.0
         assert check.detail["lifted_rank"] == 1
@@ -389,12 +404,13 @@ class TestCommutingLifts:
             commuting_lift_check(build_cone(darboux3()), [])
 
 
-# -- one cone and one lift per system -------------------------------------
+# -- one cone and one lift per pair in a battery ---------------------------
 
 
 class TestKeptConeAndLifts:
-    """The cone is built once per (system, radial bounds) and each lift's
-    precondition is checked once per (pair, samples, seed, tolerance)."""
+    """A battery builds one cone and one lift per (field, Hamiltonian) pair
+    and passes them to the checks; nothing is kept on the system or the
+    cone."""
 
     @pytest.fixture
     def preconditions(self, monkeypatch):
@@ -410,17 +426,20 @@ class TestKeptConeAndLifts:
         monkeypatch.setattr(cone_module, "reeb_rate", counting)
         return calls
 
-    def test_one_cone_per_radial_bounds(self):
-        system = darboux3()
-        cone = build_cone(system, verify=False)
-        assert build_cone(system) is cone
-        assert build_cone(system, radial_bounds=(0.1, 10.0), verify=False) is cone
-        other = build_cone(system, radial_bounds=(0.5, 2.0), verify=False)
-        assert other is not cone
-        assert build_cone(darboux3(), verify=False) is not cone  # equal, not the same system
-        assert "_cones" not in repr(system) and "_lifts" not in repr(cone)
+    def test_battery_checks_each_precondition_once(self, preconditions):
+        model = build_model("heisenberg(2)")
+        entries = model_battery(model, RunConfig(samples=16))
+        assert all(result.passed for _, result in entries)
+        assert len(model.hamiltonian_pairs) == 3
+        assert preconditions == [str(h) for _, h in model.hamiltonian_pairs]
 
-    def test_cone_is_kept_while_held_and_freed_without_the_cycle_collector(self):
+    def test_foreign_commuting_pair_is_rejected(self):
+        model = build_model("heisenberg(1)")
+        foreign = (model.system.reeb, model.system.chart.parse("1"))
+        with pytest.raises(ValueError, match="not one of its hamiltonian_pairs"):
+            replace(model, commuting_pairs=(*model.commuting_pairs, foreign))
+
+    def test_dropped_system_and_cone_free_their_points_without_gc(self):
         import gc
         import weakref
 
@@ -429,8 +448,6 @@ class TestKeptConeAndLifts:
         system = ContactSystem(chart, eta, reeb=basis_field(chart, "z"))
         gc.disable()
         try:
-            dropped = weakref.ref(build_cone(system, verify=False))
-            assert dropped() is None and len(system._cones) == 0
             cone = build_cone(system, verify=False)
             lift(cone, *dilation_field(system), samples=16, seed=SEED, verify=False)
             points = [weakref.ref(c.sample(16, SEED)) for c in (chart, cone.cone_chart)]
@@ -458,35 +475,26 @@ class TestKeptConeAndLifts:
     def test_degenerate_base_raises_on_every_verified_call(self):
         chart = Chart("flat3", ("x", "y", "z"))
         degenerate = ContactSystem(chart, one_form(chart, {"z": 1.0}), verify=False)
-        cone = build_cone(degenerate, verify=False)
+        build_cone(degenerate, verify=False)
         for _ in range(2):
             with pytest.raises(ContactConditionError, match="not symplectic"):
                 build_cone(degenerate)
-        assert build_cone(degenerate, verify=False) is cone
 
-    def test_scale_covariance_reuses_the_plain_cone(self):
+    def test_scale_covariance_reuses_the_plain_cone(self, monkeypatch):
         system = darboux3()
-        cone = build_cone(system, verify=False)
-        check = scale_covariance_check(system, 2.0, samples=32, seed=SEED)
+        cone = build_cone(system, radial_bounds=(0.5, 2.0), verify=False)
+        built = []
+        build = cone_module.build_cone
+
+        def counting(base, **kwargs):
+            built.append((base, kwargs["radial_bounds"]))
+            return build(base, **kwargs)
+
+        monkeypatch.setattr(cone_module, "build_cone", counting)
+        check = scale_covariance_check(cone, 2.0, samples=32, seed=SEED)
         assert check.passed
-        assert list(system._cones.values()) == [cone]
-
-    def test_precondition_checked_once_per_pair_samples_seed(self, preconditions):
-        system = darboux3()
-        cone = build_cone(system, verify=False)
-        X, h = dilation_field(system)
-        lifted = lift(cone, X, h, samples=16, seed=SEED, verify=False)
-        assert lift(cone, X, h, samples=16, seed=SEED) is lifted
-        cone_hamiltonian(cone, X, h, samples=16, seed=SEED)
-        commuting_lift_check(cone, [(X, h)], samples=16, seed=SEED)
-        assert preconditions == ["z"]
-        lift(cone, X, h, samples=16, seed=SEED + 1, verify=False)
-        lift(cone, X, h, samples=32, seed=SEED, verify=False)
-        lift(cone, X, h, samples=16, seed=SEED, tolerances={"lift_precondition": 1e-6})
-        lift(cone, X, h, samples=16, seed=SEED, tolerances={"lift_invariance": 1e-6})
-        assert preconditions == ["z"] * 4
-        lift(build_cone(darboux3(), verify=False), X, h, samples=16, seed=SEED)
-        assert preconditions == ["z"] * 5
+        [(rescaled, bounds)] = built  # only the cone over (M, 2 eta) is built
+        assert rescaled is not system and bounds == (0.5, 2.0)
 
     def test_failed_precondition_is_not_kept(self, preconditions):
         system = darboux3()
@@ -496,17 +504,6 @@ class TestKeptConeAndLifts:
             with pytest.raises(ContactTransformationError, match="not an infinitesimal"):
                 lift(cone, bad, system.chart.parse("0"))
         assert len(preconditions) == 2
-        assert cone._lifts == {}
-
-    def test_kept_lift_equals_a_fresh_one(self):
-        system = darboux3()
-        X, h = dilation_field(system)
-        kept_cone = build_cone(system, verify=False)
-        lift(kept_cone, X, h, verify=False)
-        kept = lift(kept_cone, X, h, verify=False)
-        fresh = lift(build_cone(darboux3(), verify=False), X, h, verify=False)
-        pts = kept_cone.cone_chart.sample(32, SEED)
-        assert kept.evaluate(pts).tobytes() == fresh.evaluate(pts).tobytes()
 
 
 # -- derived vertical families ---------------------------------------------
@@ -536,7 +533,7 @@ class TestVerticalHamiltonians:
             lifted = lift(cone, X, h, samples=64, seed=SEED)
             invariance, commutation = lift_checks(cone, lifted, samples=64, seed=SEED)
             assert invariance.passed and commutation.passed
-            _, contraction = cone_hamiltonian(cone, X, h, samples=64, seed=SEED)
+            _, contraction = cone_hamiltonian(cone, lifted, h, samples=64, seed=SEED)
             assert contraction.passed
 
     def test_rate_matches_derivative(self):
