@@ -448,26 +448,48 @@ class _Geometry:
             self._inverse = inverse
         return self._inverse
 
-    def solved(self, expr: ScalarExpr) -> _Solved:
-        """The field of ``expr = h``: ``M [X; a] = [-dh; h]`` gives ``X`` and
-        its Reeb derivative ``a = R h``, and ``M d[X; a] = [-d^2 h; dh] -
-        (dM) [X; a]`` the Jacobian ``dX``.
+    def solved(self, *exprs: ScalarExpr) -> tuple[_Solved, ...]:
+        """The fields of ``exprs``, jetted together on one tape.  For each
+        ``h``, ``M [X; a] = [-dh; h]`` gives ``X`` and its Reeb derivative
+        ``a = R h``, and ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` the
+        Jacobian ``dX``.  The tape writes each function's value, gradient and
+        Hessian straight into its right-hand sides ``b`` and ``db``; a
+        structurally zero gradient or Hessian is written as the negated
+        zeros ``-0.0``.  The functions' domain errors come before the
+        inverse's :class:`SingularSystemError`.
 
         An overflow gives ``inf`` or ``nan`` entries without a numpy
         warning; callers that report a value check it is finite."""
-        h, dh, d2h = expr.jets(self.points)
         n, d = self.points.shape
+        rhs: list = [None] * len(exprs)
+
+        def take(r, v, g, h):
+            b = np.empty((n, d + 1))
+            db = np.empty((n, d + 1, d))
+            b[:, d] = v
+            if g is None:
+                b[:, :d] = -0.0
+                db[:, d, :] = 0.0
+            else:
+                np.negative(g, out=b[:, :d])
+                db[:, d, :] = g
+            if h is None:
+                db[:, :d, :] = -0.0
+            else:
+                np.negative(np.swapaxes(h, 1, 2), out=db[:, :d, :])
+            rhs[r] = b, db
+
+        _jets_of(exprs, self.points, take)
+        solved = []
         with np.errstate(all="ignore"):
             inverse = self.inverse()
-            b = np.empty((n, d + 1))
-            b[:, :d] = -dh
-            b[:, d] = h
-            Y = (inverse @ b[:, :, None])[:, :, 0]
-            db = np.empty((n, d + 1, d))
-            db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
-            db[:, d, :] = dh
-            dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
-        return _Solved(h, dh, Y[:, d], Y[:, :d], dY[:, :d, :])
+            for r, (b, db) in enumerate(rhs):
+                rhs[r] = None  # each db is freed once solved
+                Y = (inverse @ b[:, :, None])[:, :, 0]
+                dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
+                value, grad = b[:, d].copy(), db[:, d, :].copy()
+                solved.append(_Solved(value, grad, Y[:, d], Y[:, :d], dY[:, :d, :]))
+        return tuple(solved)
 
     def reeb(self) -> np.ndarray:
         """The Reeb field: the ``h = 1`` solve, whose right-hand side is the
@@ -556,7 +578,8 @@ class HamiltonianFieldEvaluator:
     def _solved(self, points) -> tuple[_Geometry, _Solved, bool]:
         pts, single = _as_batch(points, self.system.chart.dim)
         geometry = _shared_geometry(self.system, pts)
-        return geometry, geometry.solved(self.hamiltonian), single
+        (s,) = geometry.solved(self.hamiltonian)
+        return geometry, s, single
 
     def evaluate(self, points) -> np.ndarray:
         _, s, single = self._solved(points)
@@ -666,7 +689,7 @@ def hamiltonian_field(system: ContactSystem, h: ScalarExpr) -> HamiltonianFieldE
 def jacobi_bracket(system: ContactSystem, f: ScalarExpr, g: ScalarExpr) -> ScalarEvaluator:
     """Pointwise values of ``eta([X_f, X_g])``; antisymmetric in (f, g)."""
     _require_on_chart(system.chart, "function", f, g)
-    return ScalarEvaluator(system, lambda geo: geo.bracket(geo.solved(f), geo.solved(g)))
+    return ScalarEvaluator(system, lambda geo: geo.bracket(*geo.solved(f, g)))
 
 
 def is_good(
@@ -679,7 +702,7 @@ def is_good(
     """Whether the Reeb derivative of ``h`` vanishes at all samples."""
     _require_on_chart(system.chart, "function", h)
     pts = system.chart.sample(samples, seed)
-    s = _shared_geometry(system, pts).solved(h)
+    (s,) = _shared_geometry(system, pts).solved(h)
     tol = resolve_tolerance("goodness", tolerances)
     return _make_result("goodness", np.abs(s.a), tol, pts, {"function": str(h)})
 
@@ -695,7 +718,7 @@ def is_first_integral(
     """Whether ``f`` is constant along the field of ``h`` at all samples."""
     _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
-    sh = _shared_geometry(system, pts).solved(h)
+    (sh,) = _shared_geometry(system, pts).solved(h)
     _, f_grad, _ = f.jets(pts)
     residuals = np.abs(np.einsum("ni,ni->n", sh.X, f_grad))
     tol = resolve_tolerance("first_integral", tolerances)
@@ -715,8 +738,7 @@ def verify_flow_identity(
     _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sh = geometry.solved(h)
-    sf = geometry.solved(f)
+    sh, sf = geometry.solved(h, f)
     residuals = np.abs(_directional(sh, sf) - sh.a * sf.value - geometry.bracket(sh, sf))
     tol = resolve_tolerance("flow_identity", tolerances)
     detail = {"hamiltonian": str(h), "function": str(f)}
@@ -726,7 +748,7 @@ def verify_flow_identity(
 def isotropy_defect(system: ContactSystem, h: ScalarExpr, f: ScalarExpr) -> ScalarEvaluator:
     """Pointwise values of ``dEta(X_h, X_f)``."""
     _require_on_chart(system.chart, "function", h, f)
-    return ScalarEvaluator(system, lambda geo: geo.two_form_pairing(geo.solved(h), geo.solved(f)))
+    return ScalarEvaluator(system, lambda geo: geo.two_form_pairing(*geo.solved(h, f)))
 
 
 def involution_table(
@@ -744,7 +766,7 @@ def involution_table(
     tol = resolve_tolerance("involution", tolerances)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sols = [geometry.solved(f) for f in fns]
+    sols = geometry.solved(*fns)
     table: list[list[CheckResult]] = []
     for i, si in enumerate(sols):
         row = []
@@ -772,7 +794,7 @@ def independence_rank(
     rel = resolve_tolerance("rank_svd", tolerances)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    return _pointwise_rank(np.stack([geometry.solved(f).X for f in fns], axis=2), rel, pts)
+    return _pointwise_rank(np.stack([s.X for s in geometry.solved(*fns)], axis=2), rel, pts)
 
 
 def _pointwise_rank(columns: np.ndarray, rel: float, points: np.ndarray) -> tuple[int, float]:
@@ -835,7 +857,7 @@ def classify_system(
 
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sols = [geometry.solved(f) for f in family]
+    sols = geometry.solved(*family)
     sh = sols[0]
 
     first_integral_residual = max(
@@ -908,11 +930,11 @@ def conformal_bracket_law(
         system.chart, system.eta.scaled(conformal_factor), verify=False
     )
     rescaled_geometry = _shared_geometry(rescaled, pts)
-    lhs = rescaled_geometry.bracket(rescaled_geometry.solved(g), rescaled_geometry.solved(h))
+    lhs = rescaled_geometry.bracket(*rescaled_geometry.solved(g, h))
     geometry = _shared_geometry(system, pts)
     g_over = g / conformal_factor
     h_over = h / conformal_factor
-    rhs = factor_values * geometry.bracket(geometry.solved(g_over), geometry.solved(h_over))
+    rhs = factor_values * geometry.bracket(*geometry.solved(g_over, h_over))
     tol = resolve_tolerance("conformal_law", tolerances)
     detail = {"factor": str(conformal_factor), "g": str(g), "h": str(h)}
     return _make_result("conformal_bracket_law", np.abs(lhs - rhs), tol, pts, detail)
@@ -1083,7 +1105,7 @@ def hamiltonian_contract_checks(
     _require_on_chart(system.chart, "function", h)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    residuals = geometry.defining_residuals(geometry.solved(h))
+    residuals = geometry.defining_residuals(*geometry.solved(h))
     detail = {"hamiltonian": str(h)}
     return tuple(
         _make_result(name, residuals[key], resolve_tolerance(name, tolerances), pts, detail)

@@ -110,7 +110,9 @@ class Jet2:
     hessian: np.ndarray
 
 
-# grad/hess use None as a structural zero; combinators below keep that sparse.
+# Gradients and Hessians are laid out point-last, (dim, n) and (dim, dim, n),
+# so that a node's (n,) value scales them by plain broadcasting; None is a
+# structural zero, and the combinators below keep it sparse.
 
 
 def _gadd(a, b):
@@ -130,26 +132,27 @@ def _gsub(a, b):
 
 
 def _gscale(s, g):
-    # s: scalar or (n,) array; g: (n,dim) or (n,dim,dim) or None
-    if g is None:
-        return None
-    if isinstance(s, np.ndarray) and s.ndim == 1:
-        s = s[:, None] if g.ndim == 2 else s[:, None, None]
-    return s * g
+    # s: scalar or (n,) array; g: (dim, n) or (dim, dim, n) or None
+    return None if g is None else s * g
+
+
+# The outer products go through einsum, not a broadcast multiply: einsum
+# gives +0.0 for a -0.0 product, where a multiply gives -0.0, and the jets
+# keep the signed zeros of the point-first layout before them.
 
 
 def _outer_sym(g1, g2):
     # symmetric product g1 (x) g2 + g2 (x) g1, or None if either is zero
     if g1 is None or g2 is None:
         return None
-    m = np.einsum("ni,nj->nij", g1, g2)
-    return m + np.swapaxes(m, 1, 2)
+    m = np.einsum("in,jn->ijn", g1, g2)
+    return m + np.swapaxes(m, 0, 1)
 
 
 def _outer_self(g):
     if g is None:
         return None
-    return np.einsum("ni,nj->nij", g, g)
+    return np.einsum("in,jn->ijn", g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +702,15 @@ def _jets_of(
     ``derivatives`` every gradient and Hessian is ``None``, nothing of them
     is computed, and sqrt at 0 does not raise.  The two orders divide as
     their recursive walks do: values by ``a / b``, jets by ``a * (1 / b)``.
-    As soon as the tape has computed ``exprs[r]`` it calls ``take(r, v, g,
-    h)``, which must copy what it keeps: the arrays may be shared or views of
-    ``points``.  Afterwards, as for every step, the tape keeps the arrays
-    only until the last step that reads them.  An overflow gives ``inf`` or
-    ``nan`` without a numpy warning, in ``take`` too.
+    The tape lays gradients and Hessians out point-last, as (dim, n) and
+    (dim, dim, n).  As soon as it has computed ``exprs[r]`` it calls
+    ``take(r, v, g, h)`` with ``g`` of shape (n, dim) and ``h`` of shape
+    (n, dim, dim), point first: the transposed views ``g.T`` and
+    ``h.transpose(2, 0, 1)`` of its own arrays.  ``take`` must copy what it
+    keeps: the arrays may be shared or views of ``points``.  Afterwards, as
+    for every step, the tape keeps the arrays only until the last step that
+    reads them.  An overflow gives ``inf`` or ``nan`` without a numpy
+    warning, in ``take`` too.
     """
     if not exprs:
         return
@@ -723,9 +730,23 @@ def _jets_of(
             va, vb = V[a], V[b]
             v = va * vb
             if derivatives:
-                ga, ha, gb, hb = G[a], H[a], G[b], H[b]
-                g = _gadd(_gscale(va, gb), _gscale(vb, ga))
-                h = _gadd(_gadd(_gscale(va, hb), _gscale(vb, ha)), _outer_sym(ga, gb))
+                # the structural zeros tested inline, the commonest node's
+                # terms in _gadd's order; a node without a gradient has no
+                # Hessian either
+                ga, gb = G[a], G[b]
+                if ga is None:
+                    g = None if gb is None else va * gb
+                    h = None if H[b] is None else va * H[b]
+                elif gb is None:
+                    g = vb * ga
+                    h = None if H[a] is None else vb * H[a]
+                else:
+                    ha, hb = H[a], H[b]
+                    g = va * gb + vb * ga
+                    h = None if hb is None else va * hb
+                    if ha is not None:
+                        h = vb * ha if h is None else h + vb * ha
+                    h = _outer_sym(ga, gb) if h is None else h + _outer_sym(ga, gb)
         elif t is _Add:
             v = V[a] + V[b]
             if derivatives:
@@ -737,8 +758,8 @@ def _jets_of(
         elif t is _Coord:
             v = points[:, node.i]
             if derivatives:
-                g, h = np.zeros((n, dim)), None
-                g[:, node.i] = 1.0
+                g, h = np.zeros((dim, n)), None
+                g[node.i] = 1.0
         elif t is _Const:
             v, g, h = node.v, None, None
         elif t is _Neg:
@@ -805,9 +826,12 @@ def _jets_of(
                     ga = G[a]
                     g = _gscale(d1, ga)
                     h = _gadd(_gscale(d1, H[a]), _gscale(d2, _outer_self(ga)))
-        while due[i][0] == k:
-            take(due[i][1], v, g, h)
-            i += 1
+        if due[i][0] == k:
+            gt = None if g is None else g.T
+            ht = None if h is None else h.transpose(2, 0, 1)
+            while due[i][0] == k:
+                take(due[i][1], v, gt, ht)
+                i += 1
         if last[k] >= 0:
             V[k] = v
             if derivatives:
@@ -1037,9 +1061,10 @@ class ScalarExpr:
         got = []
         _jets_of((self,), pts, lambda r, *jet: got.append(jet))
         ((v, g, h),) = got
-        v = np.full(n, v)  # a fresh array, also from a scalar or a view
-        g = np.zeros((n, d)) if g is None else g
-        h = np.zeros((n, d, d)) if h is None else h
+        # fresh C-contiguous arrays, also from a scalar or a transposed view
+        v = np.full(n, v)
+        g = np.zeros((n, d)) if g is None else g.copy()
+        h = np.zeros((n, d, d)) if h is None else h.copy()
         return v, g, h
 
     def eval_jet2(self, point: Sequence[float]) -> Jet2:

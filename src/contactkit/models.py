@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -516,7 +516,7 @@ def basic_example() -> ModelDescriptor:
             (dilation, f, {"y": "y", "z": "z", "r": "-r / 2"}),
         ):
             lifted = cone_mod.lift(
-                cone, base_field, hamiltonian, tolerances=tolerances, verify=False
+                cone, base_field, hamiltonian, samples, seed, tolerances, verify=False
             )
             target = vector_field(cone.cone_chart, expected)
             residuals = np.maximum(

@@ -11,7 +11,6 @@ from contactkit import cone as cone_module
 from contactkit.cli import RunConfig, model_battery
 from contactkit.charts import Chart, DifferentialForm, basis_field, one_form, vector_field
 from contactkit.cone import (
-    ConeSystem,
     ContactTransformationError,
     _closure_excess,
     build_cone,
@@ -432,6 +431,30 @@ class TestKeptConeAndLifts:
         assert all(result.passed for _, result in entries)
         assert len(model.hamiltonian_pairs) == 3
         assert preconditions == [str(h) for _, h in model.hamiltonian_pairs]
+
+    def test_every_lift_checks_its_precondition_at_the_battery_samples(self, monkeypatch):
+        # example_3_10's own cone facts lift too; each lift must check the
+        # precondition at the battery's samples and seed, not its defaults
+        import inspect
+
+        from contactkit import cli as cli_module
+
+        received = []
+        signature = inspect.signature(lift)
+
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            received.append((bound.arguments["samples"], bound.arguments["seed"]))
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(cone_module, "lift", recording)
+        monkeypatch.setattr(cli_module, "lift", recording)
+        model = build_model("example_3_10")
+        entries = model_battery(model, RunConfig(samples=128, seed=SEED))
+        assert all(result.passed for _, result in entries)
+        assert len(received) > 2 * len(model.hamiltonian_pairs)
+        assert set(received) == {(128, SEED)}
 
     def test_foreign_commuting_pair_is_rejected(self):
         model = build_model("heisenberg(1)")

@@ -531,6 +531,61 @@ class TestFlowIdentity:
                 assert result.passed, f"{sys.name}: {result}"
 
 
+def _solved_apart(geometry, expr):
+    """One function's solve from its own ``jets``, with the right-hand
+    sides built from dense zeros: the reference for one shared tape."""
+    h, dh, d2h = expr.jets(geometry.points)
+    n, d = geometry.points.shape
+    with np.errstate(all="ignore"):
+        inverse = geometry.inverse()
+        b = np.empty((n, d + 1))
+        b[:, :d] = -dh
+        b[:, d] = h
+        Y = (inverse @ b[:, :, None])[:, :, 0]
+        db = np.empty((n, d + 1, d))
+        db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
+        db[:, d, :] = dh
+        dY = inverse @ (db - np.einsum("nkri,ni->nrk", geometry.dM, Y))
+    return h, dh, Y[:, d], Y[:, :d], dY[:, :d, :]
+
+
+class TestOneTapePerSolve:
+    """Every function a check solves is jetted on one tape, and solving them
+    together changes no bit of any one of them."""
+
+    PAIRS = (
+        ("x1*y1 - z^2 + 0.5*x1^3", "2.5"),  # constant f: no gradient
+        ("x1 - 2*y1 + z", "x1*z^2 - y1"),  # linear h: no Hessian
+        ("-1", "y1 + 3"),  # constant h: no gradient
+        ("z^2 - x1", "0"),  # zero f: a zero field
+    )
+
+    def test_warm_flow_identity_compiles_once(self, monkeypatch):
+        from contactkit import expressions
+
+        sys = heisenberg(1)
+        h, f = (sys.chart.parse(s) for s in self.PAIRS[0])
+        cold = verify_flow_identity(sys, h, f, samples=64, seed=SEED)
+        compile_ = expressions._compile
+        roots = []
+        monkeypatch.setattr(
+            expressions, "_compile", lambda r: roots.append(len(r)) or compile_(r)
+        )
+        warm = verify_flow_identity(sys, h, f, samples=64, seed=SEED)
+        assert roots == [2]
+        assert warm.max_residual == cold.max_residual
+
+    @pytest.mark.parametrize("sources", PAIRS)
+    def test_together_equals_one_at_a_time(self, sources):
+        sys = heisenberg(1)
+        geometry = contact_module._shared_geometry(sys, sys.chart.sample(64, SEED))
+        exprs = [sys.chart.parse(s) for s in sources]
+        for s, expr in zip(geometry.solved(*exprs), exprs):
+            got = (s.value, s.grad, s.a, s.X, s.dX)
+            for a, b in zip(got, _solved_apart(geometry, expr)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # -- isotropy defect ------------------------------------------------------
 
 

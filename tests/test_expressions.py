@@ -900,3 +900,20 @@ def test_jets_of_streams_each_root_when_computed():
     # d/dy of x*y is x, the first node of e's walk, so root 1 comes first
     assert [r for r, _ in got] == [1, 0]
     _assert_same_jet(got[1][1], e.jets(pts), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_exprs(), _JET_POINTS)
+def test_jets_are_fresh_point_first_arrays(e, values):
+    # The tape lays jets out point-last; jets hands them out point first, as
+    # C-contiguous arrays of their own, with the reference's bits.
+    pts = np.array(values).reshape(2, 3)
+    want = _jet_outcome(e._root, pts)
+    got = _message(lambda: e.jets(pts))
+    if isinstance(want, str):
+        assert got == want
+        return
+    shapes = ((2,), (2, 3), (2, 3, 3))
+    for a, b, shape in zip(got, want, shapes):
+        assert a.shape == shape and a.flags.c_contiguous and a.flags.owndata
+        assert a.tobytes() == (np.zeros(shape) if b is None else np.full(shape, b)).tobytes()
