@@ -360,28 +360,28 @@ def basis_field(chart: Chart, name: str) -> VectorField:
 
 def _exterior_terms(
     omega: DifferentialForm,
-) -> list[tuple[tuple[int, ...], float, ScalarExpr]]:
-    """The signed first partials that ``d(omega)`` sums, as
-    ``(slot, sign, partial)``: coefficient ``slot`` of ``d(omega)`` is the
-    sum of ``sign * partial`` over its entries."""
+) -> list[tuple[tuple[int, ...], float, tuple[int, ...], int]]:
+    """The signed first partials that ``d(omega)`` sums, in the order it sums
+    them, as ``(slot, sign, key, i)``: coefficient ``slot`` of ``d(omega)``
+    is the sum of ``sign`` times the partial along coordinate ``i`` of the
+    coefficient at ``key``, over its entries."""
     if omega.degree > MAX_DEGREE - 1:
         raise FormDegreeError("exterior derivative of a degree-3 form is out of range")
-    chart = omega.chart
     terms = []
-    for key, e in omega.coefficients.items():
-        for i in range(chart.dim):
+    for key in omega.coefficients:
+        for i in range(omega.chart.dim):
             if i in key:
                 continue
             slot = tuple(sorted(key + (i,)))
-            terms.append((slot, (-1.0) ** slot.index(i), e.derivative(chart.coords[i])))
+            terms.append((slot, (-1.0) ** slot.index(i), key, i))
     return terms
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     """d(omega): antisymmetrized first partials, degree raised by one."""
     out: dict[tuple[int, ...], ScalarExpr] = {}
-    for slot, sign, partial in _exterior_terms(omega):
-        term = partial * sign
+    for slot, sign, key, i in _exterior_terms(omega):
+        term = omega.coefficients[key].derivative(omega.chart.coords[i]) * sign
         out[slot] = out[slot] + term if slot in out else term
     return DifferentialForm(omega.chart, omega.degree + 1, _prune(out))
 

@@ -328,12 +328,25 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
     commuting family checked jointly.  Checks from per-pair constructions are
     disambiguated as ``name[hamiltonian]``.  The battery builds the cone once
     and lifts each pair once, and passes them to every check that needs them.
+    The cone checks run first, and their cone is gone before the facts keep
+    the system's geometry, so the two sets of arrays are never held at once.
     """
+    entries = _cone_entries(model, config)
+    entries += [
+        (fact.name, fact.run(config.samples, config.seed, config.overrides))
+        for fact in model.expected
+    ]
+    entries.sort(key=lambda entry: entry[0])
+    return entries
+
+
+def _cone_entries(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, CheckResult]]:
+    """The symplectization contracts of ``model``'s battery, on one cone that
+    dies, with the cone geometry it keeps, when this returns."""
     overrides = config.overrides
     samples, seed = config.samples, config.seed
     cone = build_cone(model.system, verify=False)
-    entries = [(fact.name, fact.run(samples, seed, overrides)) for fact in model.expected]
-    entries.append(("cone_closure", closure_check(cone, samples, seed, overrides)))
+    entries = [("cone_closure", closure_check(cone, samples, seed, overrides))]
     entries.append(("cone_nondegeneracy", nondegeneracy_check(cone, samples, seed, overrides)))
     entries.append(("cone_homogeneity", homogeneity_check(cone, samples, seed, overrides)))
     entries.append(
@@ -355,7 +368,6 @@ def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, 
         entries.append(
             ("commuting_lifts", commuting_lift_check(cone, family, samples, seed, overrides))
         )
-    entries.sort(key=lambda entry: entry[0])
     return entries
 
 

@@ -13,9 +13,16 @@ and the lift of the Hamiltonian field of ``h`` is the classical Hamiltonian
 field of the homogeneous function ``r^2 h``, in the sense that ``lift(X)``
 contracted into ``Omega`` equals ``-d(r^2 h)``.
 
-Everything here is symbolic in the chart coordinates: ``Omega`` comes from
-the exact exterior derivative, lifts are expression-level vector fields, and
-the checks evaluate residuals on seeded samples against the shared tolerance
+The construction is symbolic in the chart coordinates: ``Omega`` comes from
+the exact exterior derivative, and lifts are expression-level vector fields.
+The checks are pointwise.  One order-0 tape evaluates ``Omega``'s
+coefficients and their first partials at a cone's sample once; the cone
+keeps these arrays as its cone geometry.  Each lifted field is evaluated with
+its first partials on one tape, and the contracts are assembled from these
+arrays by the coordinate Cartan formulas, with no symbolic Lie derivative,
+bracket or contraction built.  The symbolic calculus of
+:mod:`contactkit.charts` is the oracle that the tests hold these formulas
+to.  Residuals are measured on seeded samples against the shared tolerance
 registry.  The radial coordinate is sampled log-uniformly so that both small
 and large cone radii are exercised.
 """
@@ -23,22 +30,20 @@ and large cone radii are exercised.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charts import (
     Chart,
+    ChartMismatchError,
     DifferentialForm,
     VectorField,
     _exterior_terms,
     exterior_derivative,
-    interior_product,
-    lie_bracket,
     lie_derivative,
     vector_field,
-    zero_form,
 )
 from .contact import (
     DEFAULT_SAMPLES,
@@ -50,12 +55,15 @@ from .contact import (
     GeometricError,
     _determinant_ratio_check,
     _hadamard,
+    _kept_points,
     _make_result,
     _pointwise_rank,
+    _read_only,
     _require_on_chart,
+    _shared_geometry,
     resolve_tolerance,
 )
-from .expressions import ScalarExpr, _values_of, const, coord
+from .expressions import ScalarExpr, _jets_of, const, coord
 
 __all__ = [
     "RADIAL",
@@ -103,6 +111,11 @@ class ConeSystem:
     symplectic form, and ``liouville`` the field ``r d/dr``.  Lifted fields
     are not kept on the cone: a caller that needs one more than once lifts
     it once with :func:`lift` and passes it on.
+
+    The cone geometry at the points of the latest check (see
+    :class:`_ConeGeometry`) is kept on the cone, by the rule that keeps a
+    system's geometry; it refers to nothing of the cone, so it goes with the
+    cone, and it takes no part in equality or hashing.
     """
 
     base: ContactSystem
@@ -110,6 +123,7 @@ class ConeSystem:
     eta: DifferentialForm
     omega: DifferentialForm
     liouville: VectorField
+    _geometry: _ConeGeometry | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def radial(self) -> str:
@@ -197,6 +211,159 @@ def _symplectization(system: ContactSystem, lo: float, hi: float) -> ConeSystem:
     )
 
 
+# -- pointwise arrays --------------------------------------------------------
+
+
+def _first_partials(
+    exprs: Sequence[ScalarExpr], pts: np.ndarray, put: Callable[..., None]
+) -> None:
+    """The values of ``exprs`` (one chart) and of their structurally non-zero
+    first partials, the memoized symbolic derivatives, at ``pts`` from one
+    order-0 tape.  It calls ``put(m, None, v)`` with the value of
+    ``exprs[m]`` and ``put(m, l, v)`` with its partial along coordinate
+    ``l`` as soon as the tape has each; ``v`` may be a scalar or an array
+    the tape shares, so ``put`` copies it out."""
+    roots, where = list(exprs), [(m, None) for m in range(len(exprs))]
+    for m, expr in enumerate(exprs):
+        for name in expr.free_coords:
+            partial = expr.derivative(name)
+            if partial.constant_value() != 0.0:
+                roots.append(partial)
+                where.append((m, expr.coords.index(name)))
+    _jets_of(roots, pts, lambda r, v, g, h: put(*where[r], v), derivatives=False)
+
+
+class _ConeGeometry:
+    """The cone form at one set of cone points: ``W[n, i, j] = omega(e_i,
+    e_j)`` and ``dW[k, l, n]``, the partial along coordinate ``l`` of the
+    coefficient of ``omega`` at key ``slots[k]`` (zero where it is
+    structurally zero), from one order-0 tape, and the terms that
+    ``d(omega)`` sums, as :func:`charts._exterior_terms` lists them.
+
+    A cone keeps one geometry for every check on the same points (see
+    :func:`contact._shared_geometry`), so its arrays are read-only; it
+    refers to nothing of the cone.  The checks read these arrays by the
+    coordinate Cartan formulas; no ``(n, D, D, D)`` array is formed.
+    """
+
+    def __init__(self, cone: ConeSystem, pts: np.ndarray) -> None:
+        n, dim = pts.shape
+        slots = list(cone.omega.coefficients)
+        W = np.zeros((n, dim, dim))
+        dW = np.zeros((len(slots), dim, n))
+
+        def put(k, l, v):
+            if l is None:
+                i, j = slots[k]
+                W[:, i, j] = v
+                W[:, j, i] = -v
+            else:
+                dW[k, l] = v
+
+        _first_partials(list(cone.omega.coefficients.values()), pts, put)
+        self.key, self.points = _kept_points(pts)
+        self.slots = slots
+        self.exterior_terms = _exterior_terms(cone.omega)
+        self.W = W
+        self.dW = dW
+        _read_only(self.points, W, dW)
+
+    def closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: the largest excess of ``|d(omega)|`` over its rounding
+        floor (0 where every coefficient is within its floor), and the
+        largest floor.  The partials are summed per slot of ``d(omega)`` in
+        the order and with the signs of :func:`charts.exterior_derivative`."""
+        row = {key: k for k, key in enumerate(self.slots)}
+        by_slot: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for slot, sign, key, i in self.exterior_terms:
+            by_slot.setdefault(slot, []).append(sign * self.dW[row[key], i])
+        excess = np.zeros(len(self.points))
+        floor = np.zeros(len(self.points))
+        for parts in by_slot.values():
+            parts = np.stack(parts)
+            slot_floor = CLOSURE_ROUNDING_FACTOR * _UNIT_ROUNDOFF * np.sum(np.abs(parts), axis=0)
+            excess = np.maximum(excess, np.abs(np.sum(parts, axis=0)) - slot_floor)
+            floor = np.maximum(floor, slot_floor)
+        return excess, floor
+
+    def lie(self, X: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """``L_X omega`` as an antisymmetric (n, D, D) array, from the field's
+        values ``X`` and Jacobian ``J[n, i, k] = d_k X^i``:
+        ``(L_X omega)_ij = X^l d_l omega_ij + (A - A^T)_ij`` with ``A = W J``."""
+        A = self.W @ J
+        L = A - np.swapaxes(A, 1, 2)
+        along = np.einsum("kln,nl->kn", self.dW, X)
+        for k, (i, j) in enumerate(self.slots):
+            L[:, i, j] += along[k]
+            L[:, j, i] -= along[k]
+        return L
+
+    def homogeneity(self) -> np.ndarray:
+        """The coefficients of ``L_Psi omega - 2 omega`` at ``slots``, (K, n),
+        for ``Psi = r d/dr``: ``r d_r omega_ij - 2 omega_ij``, or
+        ``r d_r omega_ij - omega_ij`` where ``j`` is the radial index, since
+        there ``L_Psi`` adds ``omega_ij`` once."""
+        radial = self.W.shape[1] - 1
+        defect = self.points[:, radial] * self.dW[:, radial, :]
+        for k, (i, j) in enumerate(self.slots):
+            defect[k] -= (1.0 if j == radial else 2.0) * self.W[:, i, j]
+        return defect
+
+    def contraction(self, X: np.ndarray) -> np.ndarray:
+        """``X -| omega`` as an (n, D) covector."""
+        return np.einsum("ni,nij->nj", X, self.W)
+
+
+def _field_arrays(
+    cone: ConeSystem, vector: VectorField, pts: np.ndarray, *scalars: ScalarExpr
+) -> tuple[np.ndarray, ...]:
+    """A field on the cone chart at ``pts``: its values ``X`` (n, D) and
+    Jacobian ``J[n, i, k] = d_k X^i``, then the gradient (n, D) of each of
+    ``scalars``, all from one tape.  Raises :class:`ChartMismatchError` for a
+    field on another chart."""
+    if not vector.chart.compatible(cone.cone_chart):
+        raise ChartMismatchError(
+            f"field on chart {vector.chart.name!r} is not on the cone chart "
+            f"{cone.cone_chart.name!r}"
+        )
+    n, dim = pts.shape
+    X = np.zeros((n, dim))
+    J = np.zeros((n, dim, dim))
+    grads = [np.zeros((n, dim)) for _ in scalars]
+
+    def put(m, l, v):
+        if m < dim:
+            if l is None:
+                X[:, m] = v
+            else:
+                J[:, m, l] = v
+        elif l is not None:
+            grads[m - dim][:, l] = v
+
+    _first_partials((*vector.components, *scalars), pts, put)
+    return (X, J, *grads)
+
+
+def _bracket(Xa: np.ndarray, Ja: np.ndarray, Xb: np.ndarray, Jb: np.ndarray) -> np.ndarray:
+    """``[X_a, X_b]^i = X_a^j d_j X_b^i - X_b^j d_j X_a^i`` (n, D), term by
+    term in the order in which :func:`charts.lie_bracket` sums them."""
+    out = np.zeros_like(Xa)
+    for j in range(Xa.shape[1]):
+        out += Xa[:, j, None] * Jb[:, :, j]
+        out -= Xb[:, j, None] * Ja[:, :, j]
+    return out
+
+
+def _liouville_bracket(X: np.ndarray, J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``[X, Psi] = X^r e_r - r d_r X`` (n, D) for ``Psi = r d/dr``."""
+    out = -r[:, None] * J[:, :, -1]
+    out[:, -1] += X[:, -1]
+    return out
+
+
+# -- checks ------------------------------------------------------------------
+
+
 def closure_check(
     cone: ConeSystem,
     samples: int = DEFAULT_SAMPLES,
@@ -215,28 +382,9 @@ def closure_check(
     """
     tol = resolve_tolerance("cone_closure", tolerances)
     pts = cone.cone_chart.sample(samples, seed)
-    excess, floor = _closure_excess(cone.omega, pts)
+    excess, floor = _shared_geometry(cone, pts, _ConeGeometry).closure()
     detail = {"max_rounding_floor": float(np.max(floor))}
     return _make_result("cone_closure", excess, tol, pts, detail)
-
-
-def _closure_excess(omega: DifferentialForm, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point: the largest excess of ``|d(omega)|`` over its rounding
-    floor (0 where every coefficient is within its floor), and the largest
-    floor."""
-    terms = _exterior_terms(omega)
-    values = _values_of([partial for _, _, partial in terms], pts)
-    by_slot: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for (slot, sign, _), v in zip(terms, values):
-        by_slot.setdefault(slot, []).append(sign * v)
-    excess = np.zeros(len(pts))
-    floor = np.zeros(len(pts))
-    for parts in by_slot.values():
-        parts = np.stack(parts)
-        slot_floor = CLOSURE_ROUNDING_FACTOR * _UNIT_ROUNDOFF * np.sum(np.abs(parts), axis=0)
-        excess = np.maximum(excess, np.abs(np.sum(parts, axis=0)) - slot_floor)
-        floor = np.maximum(floor, slot_floor)
-    return excess, floor
 
 
 def nondegeneracy_check(
@@ -253,7 +401,7 @@ def nondegeneracy_check(
     """
     threshold = resolve_tolerance("cone_nondegeneracy", tolerances)
     pts = cone.cone_chart.sample(samples, seed)
-    hadamard = _hadamard(cone.omega.matrix(pts))
+    hadamard = _hadamard(_shared_geometry(cone, pts, _ConeGeometry).W)
     return _determinant_ratio_check("cone_nondegeneracy", hadamard, threshold, pts)
 
 
@@ -266,8 +414,9 @@ def homogeneity_check(
     """The Liouville field scales the cone form: ``L_Psi omega = 2 omega``."""
     tol = resolve_tolerance("cone_homogeneity", tolerances)
     pts = cone.cone_chart.sample(samples, seed)
-    defect = lie_derivative(cone.liouville, cone.omega) - cone.omega.scaled(2.0)
-    return _make_result("cone_homogeneity", defect.max_abs(pts), tol, pts)
+    defect = _shared_geometry(cone, pts, _ConeGeometry).homogeneity()
+    # initial: a zero eta has no coefficients, and then no defect
+    return _make_result("cone_homogeneity", np.max(np.abs(defect), axis=0, initial=0.0), tol, pts)
 
 
 def scale_covariance_check(
@@ -306,7 +455,7 @@ def scale_covariance_check(
     pulled = shrunk.omega.matrix(moved)
     pulled[:, -1, :] /= root
     pulled[:, :, -1] /= root
-    diff = cone.omega.matrix(pts) - pulled
+    diff = _shared_geometry(cone, pts, _ConeGeometry).W - pulled
     residuals = np.max(np.abs(diff), axis=(1, 2))
     return _make_result("scale_covariance", residuals, tol, pts, {"factor": float(factor)})
 
@@ -386,18 +535,22 @@ def lift_checks(
     seed: int = DEFAULT_SEED,
     tolerances: Mapping[str, float] | None = None,
 ) -> tuple[CheckResult, CheckResult]:
-    """The two contracts of a lifted field: ``L_X omega = 0`` and ``[X, Psi] = 0``."""
+    """The two contracts of a lifted field: ``L_X omega = 0`` and ``[X, Psi] = 0``.
+
+    ``lifted`` must be on the cone chart (:class:`ChartMismatchError`
+    otherwise).
+    """
     pts = cone.cone_chart.sample(samples, seed)
+    X, J = _field_arrays(cone, lifted, pts)
     invariance = _make_result(
         "lift_invariance",
-        lie_derivative(lifted, cone.omega).max_abs(pts),
+        np.max(np.abs(_shared_geometry(cone, pts, _ConeGeometry).lie(X, J)), axis=(1, 2)),
         resolve_tolerance("lift_invariance", tolerances),
         pts,
     )
-    bracket = lie_bracket(lifted, cone.liouville)
     commutation = _make_result(
         "lift_liouville_commutation",
-        np.max(np.abs(bracket.evaluate(pts)), axis=1),
+        np.max(np.abs(_liouville_bracket(X, J, pts[:, -1])), axis=1),
         resolve_tolerance("lift_commuting", tolerances),
         pts,
     )
@@ -417,15 +570,15 @@ def cone_hamiltonian(
     ``lifted`` is the field that :func:`lift` returns for the Hamiltonian
     field of ``hamiltonian``.  Returns the homogeneous function ``H = r^2 h``
     together with the check that ``lifted`` contracted into ``omega`` equals
-    ``-dH`` at seeded cone samples.
+    ``-dH`` at seeded cone samples.  ``lifted`` must be on the cone chart
+    (:class:`ChartMismatchError` otherwise).
     """
-    induced = cone.radial_coordinate() ** 2 * cone.to_cone(hamiltonian)
-    defect = interior_product(lifted, cone.omega) + exterior_derivative(
-        zero_form(cone.cone_chart, induced)
-    )
     pts = cone.cone_chart.sample(samples, seed)
+    induced = cone.radial_coordinate() ** 2 * cone.to_cone(hamiltonian)
+    X, _, dH = _field_arrays(cone, lifted, pts, induced)
+    defect = _shared_geometry(cone, pts, _ConeGeometry).contraction(X) + dH
     tol = resolve_tolerance("cone_contraction", tolerances)
-    return induced, _make_result("cone_contraction", defect.max_abs(pts), tol, pts)
+    return induced, _make_result("cone_contraction", np.max(np.abs(defect), axis=1), tol, pts)
 
 
 def commuting_lift_check(
@@ -442,19 +595,21 @@ def commuting_lift_check(
     every pairwise bracket vanishes componentwise at the samples.
     ``detail`` records the observed pointwise rank of the family -- for a
     completely integrable family of ``n + 1`` commuting fields the expected
-    rank is ``n + 1``.
+    rank is ``n + 1``.  Every field must be on the cone chart
+    (:class:`ChartMismatchError` otherwise).
     """
     lifted = list(lifted_fields)
     if not lifted:
         raise ValueError("commuting lift check needs at least one lifted field")
     pts = cone.cone_chart.sample(samples, seed)
+    arrays = [_field_arrays(cone, f, pts) for f in lifted]
     residuals = np.zeros(len(pts))
-    for i in range(len(lifted)):
-        for j in range(i + 1, len(lifted)):
-            values = lie_bracket(lifted[i], lifted[j]).evaluate(pts)
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            values = _bracket(*arrays[i], *arrays[j])
             residuals = np.maximum(residuals, np.max(np.abs(values), axis=1))
     max_rank, rank_fraction = _pointwise_rank(
-        np.stack([f.evaluate(pts) for f in lifted], axis=2),
+        np.stack([X for X, _ in arrays], axis=2),
         resolve_tolerance("rank_svd", tolerances),
         pts,
     )

@@ -408,11 +408,7 @@ class _Geometry:
         M[:, d, :d] = E
         dM[:, :, :d, d] = -dE
         dM[:, :, d, :d] = dE
-        self.key = pts.tobytes()
-        # A read-only array that owns its data, such as a chart's kept
-        # sample, cannot change under the geometry, so it is kept as it is.
-        unchanging = not pts.flags.writeable and pts.flags.owndata
-        self.points = pts if unchanging else pts.copy()
+        self.key, self.points = _kept_points(pts)
         self.E = E
         self.dE = dE
         self.D = D
@@ -543,19 +539,28 @@ def _directional(s_field: _Solved, s_fn: _Solved) -> np.ndarray:
     return np.einsum("ni,ni->n", s_field.X, s_fn.grad)
 
 
-def _shared_geometry(system: ContactSystem, pts: np.ndarray) -> _Geometry:
-    """The geometry kept on ``system`` if it is at the same points (the same
-    array, or equal bytes), else a new one that replaces it.  One per system:
-    a battery runs all its checks on one sample set before moving on.  A
-    one-point set is built apart and never kept: sharing it saves nothing,
-    and the batch geometry stays for the checks around it."""
+def _kept_points(pts: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The key and the points a geometry keeps: a read-only array that owns
+    its data, such as a chart's kept sample, cannot change under the
+    geometry, so it is kept as it is; any other is copied."""
+    unchanging = not pts.flags.writeable and pts.flags.owndata
+    return pts.tobytes(), pts if unchanging else pts.copy()
+
+
+def _shared_geometry(owner, pts: np.ndarray, build: Callable = _Geometry):
+    """The geometry kept on ``owner`` (a system, or a cone with its cone
+    geometry as ``build``) if it is at the same points (the same array, or
+    equal bytes), else ``build(owner, pts)``, which replaces it.  One per
+    owner: a battery runs all its checks on one sample set before moving
+    on.  A one-point set is built apart and never kept: sharing it saves
+    nothing, and the batch geometry stays for the checks around it."""
     if len(pts) == 1:
-        return _Geometry(system, pts)
-    geometry = system._geometry
+        return build(owner, pts)
+    geometry = owner._geometry
     if geometry is None or (geometry.points is not pts and geometry.key != pts.tobytes()):
-        object.__setattr__(system, "_geometry", None)  # free the old one first
-        geometry = _Geometry(system, pts)
-        object.__setattr__(system, "_geometry", geometry)
+        object.__setattr__(owner, "_geometry", None)  # free the old one first
+        geometry = build(owner, pts)
+        object.__setattr__(owner, "_geometry", geometry)
     return geometry
 
 

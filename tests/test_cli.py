@@ -561,13 +561,13 @@ class TestVerifyCommand:
     # change to the linear algebra re-pins them only after a diff against
     # its parent shows the same labels, verdicts and exit codes.
     GOLDENS = [
-        (128, 20110615, "text", "9003217514ccec75"),
-        (128, 20110615, "records", "e04e1ad605016b00"),
-        (128, 1, "text", "56a295feeb3f98b7"),
-        (128, 1, "records", "878d7e360c479675"),
-        (128, 205, "text", "d49c30a46447b499"),
-        (128, 205, "records", "4d6a08d52cf8a088"),
-        (4096, 20110615, "text", "6c2b5dc410637bb1"),
+        (128, 20110615, "text", "93d65ced46aed4f1"),
+        (128, 20110615, "records", "a94d52a7b24d48a4"),
+        (128, 1, "text", "f8377775b13a3b0b"),
+        (128, 1, "records", "d77af570f332781b"),
+        (128, 205, "text", "70332c1ff13d8f6d"),
+        (128, 205, "records", "2efedb3b72e257f2"),
+        (4096, 20110615, "text", "38f1a90bfa7099a3"),
     ]
 
     @pytest.mark.parametrize(

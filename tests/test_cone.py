@@ -8,11 +8,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactkit import cone as cone_module
+from contactkit import expressions
 from contactkit.cli import RunConfig, model_battery
-from contactkit.charts import Chart, DifferentialForm, basis_field, one_form, vector_field
+from contactkit.charts import (
+    Chart,
+    ChartMismatchError,
+    DifferentialForm,
+    VectorField,
+    basis_field,
+    interior_product,
+    lie_bracket,
+    lie_derivative,
+    one_form,
+    vector_field,
+)
 from contactkit.cone import (
     ContactTransformationError,
-    _closure_excess,
+    _bracket,
+    _ConeGeometry,
+    _field_arrays,
+    _liouville_bracket,
     build_cone,
     closure_check,
     commuting_lift_check,
@@ -26,7 +41,7 @@ from contactkit.cone import (
 )
 from contactkit.contact import TOLERANCES, ContactConditionError, ContactSystem, is_contact_form
 from contactkit.expressions import coord, parse, random_polynomial
-from contactkit.models import build_model
+from contactkit.models import build_model, default_model_keys
 
 SEED = 20110615
 
@@ -163,7 +178,7 @@ class TestClosureRoundingFloor:
         defect = DifferentialForm(cone.cone_chart, 2, {slot: 1e-6 * cone.radial_coordinate()})
         broken = replace(cone, omega=cone.omega + defect)
         pts = cone.cone_chart.sample(4096, SEED)
-        excess, _ = _closure_excess(broken.omega, pts)
+        excess, _ = _ConeGeometry(broken, pts).closure()
         assert np.all(excess > TOLERANCES["cone_closure"])
         assert not closure_check(broken, samples=4096, seed=SEED).passed
 
@@ -223,6 +238,13 @@ class TestLiouvilleScaling:
             check = homogeneity_check(build_cone(system), samples=64, seed=SEED)
             assert check.passed
             assert check.max_residual < 1e-8
+
+    def test_zero_form_has_no_homogeneity_defect(self):
+        # omega = d(r^2 * 0) has no coefficients to take a maximum over
+        chart = Chart("flat3", ("x", "y", "z"))
+        cone = build_cone(ContactSystem(chart, one_form(chart, {}), verify=False), verify=False)
+        check = homogeneity_check(cone, samples=8, seed=SEED)
+        assert check.passed and check.max_residual == 0.0
 
     @pytest.mark.parametrize("factor", [2.0, 5.0])
     def test_scale_covariance(self, factor):
@@ -403,13 +425,40 @@ class TestCommutingLifts:
             commuting_lift_check(build_cone(darboux3()), [])
 
 
+class TestFieldsOnTheConeChart:
+    """Each check that takes lifted fields refuses a field on another chart
+    with an error naming both charts."""
+
+    MATCH = r"'darboux\(1\)'.*'cone\(darboux\(1\)\)'"
+
+    @staticmethod
+    def base_pair():
+        model = build_model("darboux(1)")
+        return build_cone(model.system, verify=False), model.hamiltonian_pairs[0]
+
+    def test_lift_checks(self):
+        cone, (field, _) = self.base_pair()
+        with pytest.raises(ChartMismatchError, match=self.MATCH):
+            lift_checks(cone, field, 16)
+
+    def test_cone_hamiltonian(self):
+        cone, (field, h) = self.base_pair()
+        with pytest.raises(ChartMismatchError, match=self.MATCH):
+            cone_hamiltonian(cone, field, h, 16)
+
+    def test_commuting_lift_check(self):
+        cone, (field, _) = self.base_pair()
+        with pytest.raises(ChartMismatchError, match=self.MATCH):
+            commuting_lift_check(cone, [field, field], 16)
+
+
 # -- one cone and one lift per pair in a battery ---------------------------
 
 
 class TestKeptConeAndLifts:
     """A battery builds one cone and one lift per (field, Hamiltonian) pair
-    and passes them to the checks; nothing is kept on the system or the
-    cone."""
+    and passes them to the checks; the system and the cone keep only the
+    geometry of their latest check, no lift."""
 
     @pytest.fixture
     def preconditions(self, monkeypatch):
@@ -472,12 +521,58 @@ class TestKeptConeAndLifts:
         gc.disable()
         try:
             cone = build_cone(system, verify=False)
-            lift(cone, *dilation_field(system), samples=16, seed=SEED, verify=False)
-            points = [weakref.ref(c.sample(16, SEED)) for c in (chart, cone.cone_chart)]
-            del system, cone, chart, eta
-            assert [ref() is None for ref in points] == [True, True]
+            lifted = lift(cone, *dilation_field(system), samples=16, seed=SEED, verify=False)
+            lift_checks(cone, lifted, samples=16, seed=SEED)
+            kept = [weakref.ref(c.sample(16, SEED)) for c in (chart, cone.cone_chart)]
+            kept.append(weakref.ref(cone._geometry))
+            del system, cone, chart, eta, lifted
+            assert [ref() is None for ref in kept] == [True, True, True]
         finally:
             gc.enable()
+
+    def test_cone_checks_run_before_the_system_keeps_its_geometry(self, monkeypatch):
+        # the cone's arrays and the facts' base geometry are never held at once
+        from contactkit import cli as cli_module
+
+        model = build_model("sphere_weighted(3,2,4,3,3)")
+        seen = []
+        for name in (
+            "closure_check",
+            "nondegeneracy_check",
+            "homogeneity_check",
+            "scale_covariance_check",
+            "lift_checks",
+            "cone_hamiltonian",
+            "commuting_lift_check",
+        ):
+
+            def watched(*args, _check=getattr(cli_module, name), _name=name, **kwargs):
+                seen.append((_name, model.system._geometry is None))
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, watched)
+        entries = model_battery(model, RunConfig(samples=128, seed=SEED))
+        assert all(result.passed for _, result in entries)
+        assert len(seen) == 4 + 2 * len(model.hamiltonian_pairs) + bool(model.commuting_pairs)
+        assert all(free for _, free in seen), seen
+        assert model.system._geometry is not None  # the facts keep theirs
+
+    def test_battery_builds_one_cone_geometry_at_its_points(self, monkeypatch):
+        built = []
+
+        class Counting(_ConeGeometry):
+            def __init__(self, cone, pts):
+                built.append((cone.cone_chart.name, pts))
+                super().__init__(cone, pts)
+
+        monkeypatch.setattr(cone_module, "_ConeGeometry", Counting)
+        model = build_model("heisenberg(2)")
+        entries = model_battery(model, RunConfig(samples=128, seed=SEED))
+        assert all(result.passed for _, result in entries)
+        [(name, pts)] = built
+        cone_chart = build_cone(model.system, verify=False).cone_chart
+        assert name == cone_chart.name
+        np.testing.assert_array_equal(pts, cone_chart.sample(128, SEED))
 
     def test_verify_runs_on_every_call(self, monkeypatch):
         system = darboux3()
@@ -634,3 +729,113 @@ def test_lifted_lie_derivative_swell_counts():
     assert len(tape) == len(set(map(id, tape))) == 3_441
     assert _distinct_structures(roots) == 3_441
     assert all(1 < e.node_counts()[1] <= 3_441 for e in exprs)
+
+
+def test_pointwise_tape_counts(monkeypatch):
+    """sphere_weighted(3,2,4,3,3): the cone geometry's one tape has omega's
+    28 coefficients and their 224 non-zero partials as roots, on 2,192
+    distinct nodes; the lifted Reeb field's tape has its 8 components and
+    13 non-zero partials, on 85 distinct nodes."""
+    model = build_model("sphere_weighted(3,2,4,3,3)")
+    cone = build_cone(model.system, verify=False)
+    lifted = lift(cone, *model.hamiltonian_pairs[0], samples=128, seed=SEED, verify=False)
+    cone.cone_chart.sample(128, SEED)  # the sampler's own tape comes first
+    compiled = []
+    compile_ = expressions._compile
+
+    def recording(roots):
+        tape = compile_(roots)
+        compiled.append((len(roots), len(tape[0])))
+        return tape
+
+    monkeypatch.setattr(expressions, "_compile", recording)
+    closure_check(cone, samples=128, seed=SEED)
+    assert compiled == [(252, 2_192)]
+    lift_checks(cone, lifted, samples=128, seed=SEED)
+    assert compiled == [(252, 2_192), (21, 85)]
+
+
+# -- pointwise contracts against the symbolic calculus ---------------------
+
+#: The pointwise formulas and the symbolic forms sum the same products in
+#: other orders, so they may differ by rounding: per point, at most this
+#: many unit roundoffs, times the dimension ``D``, of the largest products
+#: they sum (``|X| |d omega| + |omega| |J|`` for ``L_X omega``).  Over the
+#: default models the largest deviation seen was 5.1 of the 32 allowed at
+#: D = 8.
+ORACLE_ROUNDOFFS_PER_DIM = 4
+_U = np.finfo(float).eps / 2
+
+
+def _random_field(chart: Chart, rng) -> VectorField:
+    return VectorField(
+        chart, tuple(random_polynomial(chart.coords, 2, rng, n_terms=4) for _ in chart.coords)
+    )
+
+
+def _largest(a: np.ndarray) -> np.ndarray:
+    """Per point (the first axis), the largest |entry|."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+def _within_rounding(got, want, scale, dim):
+    deviation = _largest(got - want)
+    assert np.all(deviation <= ORACLE_ROUNDOFFS_PER_DIM * dim * _U * scale)
+
+
+def _dense(slots, rows, n, dim):
+    out = np.zeros((n, dim, dim))
+    for (i, j), v in zip(slots, rows):
+        out[:, i, j] = v
+        out[:, j, i] = -v
+    return out
+
+
+@pytest.mark.parametrize("key", default_model_keys())
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pointwise_contracts_match_the_symbolic_calculus(key, seed):
+    """On seeded random polynomial fields, not lifts (a lift's residuals are
+    ~0 and would hide a wrong formula), the pointwise ``L_X omega``,
+    ``[X, Psi]``, ``X -| omega``, ``[X, Y]`` and ``L_Psi omega - 2 omega``
+    equal the symbolic forms at the same points to within rounding."""
+    cone = build_cone(build_model(key).system, verify=False)
+    chart, omega = cone.cone_chart, cone.omega
+    dim = chart.dim
+    pts = chart.sample(16, SEED)
+    rng = np.random.default_rng(seed)
+    Xf, Yf = _random_field(chart, rng), _random_field(chart, rng)
+    geometry = _ConeGeometry(cone, pts)
+    X, J = _field_arrays(cone, Xf, pts)
+    Y, JY = _field_arrays(cone, Yf, pts)
+    r = pts[:, -1]
+    dW = _largest(np.moveaxis(geometry.dW, 2, 0))
+    W = _largest(geometry.W)
+    _within_rounding(
+        geometry.lie(X, J),
+        lie_derivative(Xf, omega).matrix(pts),
+        _largest(X) * dW + W * _largest(J),
+        dim,
+    )
+    _within_rounding(
+        _liouville_bracket(X, J, r),
+        lie_bracket(Xf, cone.liouville).evaluate(pts),
+        _largest(X) + r * _largest(J),
+        dim,
+    )
+    _within_rounding(
+        geometry.contraction(X), interior_product(Xf, omega).covector(pts), _largest(X) * W, dim
+    )
+    _within_rounding(
+        _bracket(X, J, Y, JY),
+        lie_bracket(Xf, Yf).evaluate(pts),
+        _largest(X) * _largest(JY) + _largest(Y) * _largest(J),
+        dim,
+    )
+    defect = (lie_derivative(cone.liouville, omega) - omega.scaled(2.0)).coefficient_arrays(pts)
+    _within_rounding(
+        _dense(geometry.slots, geometry.homogeneity(), len(pts), dim),
+        _dense(defect.keys(), defect.values(), len(pts), dim),
+        r * dW + W,
+        dim,
+    )
