@@ -85,9 +85,9 @@ from .ypq import (
     InvalidToricParameterError,
     YpqParams,
     circle_pairing_check,
-    enumerate_structures,
-    format_class_table,
+    class_table,
     format_dossier,
+    format_table,
     homogeneous_coordinate_check,
     is_free,
     reeb_positivity,
@@ -313,6 +313,15 @@ def _emit_record(stream, record: dict) -> None:
             f"{record['kind']} record holds a non-finite number, which JSON cannot carry"
         ) from None
     stream.write(line + "\n")
+
+
+def _write_error(stream, config: RunConfig | None, message: str) -> None:
+    """An error on stdout: an ``error:`` line, or an ``error`` record in
+    records mode."""
+    if config is not None and config.output == "records":
+        _emit_record(stream, {"kind": "error", "message": message})
+    else:
+        stream.write(f"error: {message}\n")
 
 
 # -- verify ----------------------------------------------------------------
@@ -595,7 +604,7 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
             "g": hamiltonian_field(system, g).residuals([point]),
         }
     except GeometricError as exc:
-        stream.write(f"error: contact condition fails: {exc}\n")
+        _write_error(stream, config, f"contact condition fails: {exc}")
         return EXIT_GEOMETRY
     except ExprError as exc:
         raise UsageError(f"eta is undefined at ({point_text}): {exc}") from None
@@ -634,19 +643,18 @@ def cmd_ypq(args: argparse.Namespace, config: RunConfig, stream) -> int:
     if args.enumerate_max is not None:
         if args.params:
             raise UsageError("give either P Q or --enumerate P_MAX, not both")
-        classes = enumerate_structures(args.enumerate_max)
+        table = class_table(args.enumerate_max)
         if config.output == "text":
-            stream.write(format_class_table(classes) + "\n")
+            stream.write(format_table(table) + "\n")
         else:
-            for p in sorted(classes):
-                members = classes[p]
+            for p, qs in table.items():
                 _emit_record(
                     stream,
                     {
                         "kind": "ypq_class",
                         "p": p,
-                        "class_size": len(members),
-                        "members": [[m.p, m.q] for m in members],
+                        "class_size": len(qs),
+                        "members": [[p, q] for q in qs],
                     },
                 )
         return EXIT_OK
@@ -781,6 +789,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace, stream) -> int:
+    config = None
     try:
         config = resolve_config(args)
         if args.command == "verify":
@@ -792,10 +801,10 @@ def _run(args: argparse.Namespace, stream) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidToricParameterError as exc:
-        stream.write(f"error: {exc}\n")
+        _write_error(stream, config, str(exc))
         return EXIT_TORIC
     except GeometricError as exc:
-        stream.write(f"error: {exc}\n")
+        _write_error(stream, config, str(exc))
         return EXIT_GEOMETRY
 
 

@@ -215,16 +215,20 @@ def _symplectization(system: ContactSystem, lo: float, hi: float) -> ConeSystem:
 
 
 def _first_partials(
-    exprs: Sequence[ScalarExpr], pts: np.ndarray, put: Callable[..., None]
+    exprs: Sequence[ScalarExpr],
+    pts: np.ndarray,
+    put: Callable[..., None],
+    partials_from: int = 0,
 ) -> None:
-    """The values of ``exprs`` (one chart) and of their structurally non-zero
-    first partials, the memoized symbolic derivatives, at ``pts`` from one
-    order-0 tape.  It calls ``put(m, None, v)`` with the value of
-    ``exprs[m]`` and ``put(m, l, v)`` with its partial along coordinate
-    ``l`` as soon as the tape has each; ``v`` may be a scalar or an array
-    the tape shares, so ``put`` copies it out."""
+    """The values of ``exprs`` (one chart) and the structurally non-zero
+    first partials, the memoized symbolic derivatives, of
+    ``exprs[partials_from:]`` at ``pts`` from one order-0 tape.  It calls
+    ``put(m, None, v)`` with the value of ``exprs[m]`` and ``put(m, l, v)``
+    with its partial along coordinate ``l`` as soon as the tape has each;
+    ``v`` may be a scalar or an array the tape shares, so ``put`` copies it
+    out."""
     roots, where = list(exprs), [(m, None) for m in range(len(exprs))]
-    for m, expr in enumerate(exprs):
+    for m, expr in enumerate(exprs[partials_from:], start=partials_from):
         for name in expr.free_coords:
             partial = expr.derivative(name)
             if partial.constant_value() != 0.0:
@@ -315,12 +319,16 @@ class _ConeGeometry:
 
 
 def _field_arrays(
-    cone: ConeSystem, vector: VectorField, pts: np.ndarray, *scalars: ScalarExpr
+    cone: ConeSystem,
+    vector: VectorField,
+    pts: np.ndarray,
+    *scalars: ScalarExpr,
+    jacobian: bool = True,
 ) -> tuple[np.ndarray, ...]:
     """A field on the cone chart at ``pts``: its values ``X`` (n, D) and
-    Jacobian ``J[n, i, k] = d_k X^i``, then the gradient (n, D) of each of
-    ``scalars``, all from one tape.  Raises :class:`ChartMismatchError` for a
-    field on another chart."""
+    Jacobian ``J[n, i, k] = d_k X^i`` (``None`` unless ``jacobian``), then
+    the gradient (n, D) of each of ``scalars``, all from one tape.  Raises
+    :class:`ChartMismatchError` for a field on another chart."""
     if not vector.chart.compatible(cone.cone_chart):
         raise ChartMismatchError(
             f"field on chart {vector.chart.name!r} is not on the cone chart "
@@ -328,7 +336,7 @@ def _field_arrays(
         )
     n, dim = pts.shape
     X = np.zeros((n, dim))
-    J = np.zeros((n, dim, dim))
+    J = np.zeros((n, dim, dim)) if jacobian else None
     grads = [np.zeros((n, dim)) for _ in scalars]
 
     def put(m, l, v):
@@ -340,7 +348,7 @@ def _field_arrays(
         elif l is not None:
             grads[m - dim][:, l] = v
 
-    _first_partials((*vector.components, *scalars), pts, put)
+    _first_partials((*vector.components, *scalars), pts, put, 0 if jacobian else dim)
     return (X, J, *grads)
 
 
@@ -575,7 +583,7 @@ def cone_hamiltonian(
     """
     pts = cone.cone_chart.sample(samples, seed)
     induced = cone.radial_coordinate() ** 2 * cone.to_cone(hamiltonian)
-    X, _, dH = _field_arrays(cone, lifted, pts, induced)
+    X, _, dH = _field_arrays(cone, lifted, pts, induced, jacobian=False)
     defect = _shared_geometry(cone, pts, _ConeGeometry).contraction(X) + dH
     tol = resolve_tolerance("cone_contraction", tolerances)
     return induced, _make_result("cone_contraction", np.max(np.abs(defect), axis=1), tol, pts)

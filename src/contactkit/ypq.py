@@ -61,10 +61,12 @@ __all__ = [
     "classify",
     "totient",
     "coprime_pairs",
+    "class_table",
     "ypq_report",
     "enumerate_structures",
     "format_dossier",
     "format_class_table",
+    "format_table",
 ]
 
 
@@ -508,14 +510,32 @@ def totient(m: int) -> int:
     return result
 
 
+def _coprime_qs(p: int) -> list[int]:
+    """Every ``1 <= q < p`` with ``gcd(p, q) = 1``, in increasing order."""
+    return [q for q in range(1, p) if math.gcd(p, q) == 1]
+
+
 def coprime_pairs(p_max: int) -> list[YpqParams]:
     """All valid free-action parameter pairs with ``p <= p_max``."""
-    return [
-        YpqParams(p, q)
-        for p in range(2, p_max + 1)
-        for q in range(1, p)
-        if math.gcd(p, q) == 1
-    ]
+    return [YpqParams(p, q) for p in range(2, p_max + 1) for q in _coprime_qs(p)]
+
+
+def class_table(p_max: int) -> dict[int, list[int]]:
+    """The equivalence classes of every free member with ``p <= p_max`` as
+    integers: class ``p`` maps to its ``q`` values in increasing order.
+
+    Each class must have exactly ``totient(p)`` members; the count is
+    re-verified for every class, with one ``totient`` call per class.
+    """
+    if p_max < 2:
+        raise InvalidToricParameterError("enumeration needs p_max >= 2")
+    table: dict[int, list[int]] = {}
+    for p in range(2, p_max + 1):
+        qs = table[p] = _coprime_qs(p)
+        phi = totient(p)
+        if len(qs) != phi:
+            raise ArithmeticError(f"class p = {p} has {len(qs)} members, totient(p) = {phi}")
+    return table
 
 
 # -- dossier ---------------------------------------------------------------
@@ -608,24 +628,10 @@ def ypq_report(params: YpqParams) -> YpqReport:
 
 def enumerate_structures(p_max: int) -> dict[int, list[YpqParams]]:
     """Every free member with ``p <= p_max``, grouped by the equivalence
-    class ``p``.
-
-    Each class must have exactly ``totient(p)`` members; the count is
-    re-verified for every class.  The dossier of one member is
-    ``ypq_report(member)``.
+    class ``p``: :func:`class_table` with each ``q`` as ``YpqParams(p, q)``.
+    The dossier of one member is ``ypq_report(member)``.
     """
-    if p_max < 2:
-        raise InvalidToricParameterError("enumeration needs p_max >= 2")
-    out: dict[int, list[YpqParams]] = {}
-    for params in coprime_pairs(p_max):
-        out.setdefault(params.p, []).append(params)
-    for p, members in out.items():
-        phi = totient(p)
-        if len(members) != phi:
-            raise ArithmeticError(
-                f"class p = {p} has {len(members)} members, totient(p) = {phi}"
-            )
-    return out
+    return {p: [YpqParams(p, q) for q in qs] for p, qs in class_table(p_max).items()}
 
 
 # -- text rendering --------------------------------------------------------
@@ -667,13 +673,17 @@ def format_dossier(report: YpqReport) -> str:
 
 def format_class_table(classes: dict[int, list[YpqParams]]) -> str:
     """Aligned class table: one line per equivalence class."""
-    lines = []
-    width = len(str(max(classes))) if classes else 1
-    size_width = max(len(str(len(members))) for members in classes.values())
-    for p in sorted(classes):
-        members = classes[p]
-        pairs = " ".join(f"({m.p},{m.q})" for m in members)
-        lines.append(
-            f"p = {str(p).rjust(width)}  class size {str(len(members)).rjust(size_width)}  {pairs}"
-        )
-    return "\n".join(lines)
+    return format_table({p: [m.q for m in members] for p, members in classes.items()})
+
+
+def format_table(table: dict[int, list[int]]) -> str:
+    """The aligned text of a :func:`class_table`, one line per class in
+    increasing ``p``: ``p`` and the class size right-aligned to their widest
+    entries, then the members as ``(p,q)``.  Empty for an empty table."""
+    width = len(str(max(table, default=0)))
+    size_width = max((len(str(len(qs))) for qs in table.values()), default=0)
+    return "\n".join(
+        f"p = {str(p).rjust(width)}  class size {str(len(table[p])).rjust(size_width)}  "
+        + " ".join([f"({p},{q})" for q in table[p]])
+        for p in sorted(table)
+    )

@@ -244,6 +244,15 @@ class TestBracketCommand:
         assert code == EXIT_GEOMETRY
         assert "contact condition fails" in out
 
+    def test_degenerate_form_is_an_error_record(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bracket", "x,y,z", "x*dx", "x", "y", "1,2,3", "--format", "records"
+        )
+        assert code == EXIT_GEOMETRY
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[-1]["kind"] == "error"
+        assert records[-1]["message"].startswith("contact condition fails: ")
+
     def test_records_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "bracket", "x,y,z", "dz - y*dx", "1", "z", "1,2,3", "--format", "records"
@@ -972,6 +981,49 @@ class TestYpqCommand:
         assert code == EXIT_OK
         assert out == expected
         assert digest is None or self._digest(out) == digest
+
+    def test_enumerate_builds_no_params_and_one_totient_per_class(self, capsys, monkeypatch):
+        from contactkit import ypq as ypq_module
+
+        def refused(params):
+            raise AssertionError(f"enumeration built {params!r}")
+
+        totient_calls = []
+        real_totient = ypq_module.totient
+
+        def counted_totient(m):
+            totient_calls.append(m)
+            return real_totient(m)
+
+        monkeypatch.setattr(ypq_module.YpqParams, "__post_init__", refused)
+        monkeypatch.setattr(ypq_module, "totient", counted_totient)
+        code, out, _ = run_cli(capsys, "ypq", "--enumerate", "60")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 59
+        assert sorted(totient_calls) == list(range(2, 61))
+
+    @staticmethod
+    def _records_ending_in_error(out):
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and records[-1]["kind"] == "error"
+        return records[-1]
+
+    def test_enumerate_bad_bound_is_an_error_record(self, capsys):
+        code, out, _ = run_cli(capsys, "ypq", "--enumerate", "1", "--format", "records")
+        assert code == EXIT_TORIC
+        record = self._records_ending_in_error(out)
+        assert record == {"kind": "error", "message": "enumeration needs p_max >= 2"}
+
+    def test_refused_totient_is_an_error_record(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "ypq", "1000000000000000003", "1", "--format", "records"
+        )
+        assert code == EXIT_TORIC
+        record = self._records_ending_in_error(out)
+        assert record["message"] == (
+            "totient(1000000000000000003) is refused: trial division is limited "
+            "to arguments up to 10000000000000"
+        )
 
     def test_enumerate_bad_bound_exits_toric(self, capsys):
         code, out, _ = run_cli(capsys, "ypq", "--enumerate", "1")

@@ -755,6 +755,29 @@ def test_pointwise_tape_counts(monkeypatch):
     assert compiled == [(252, 2_192), (21, 85)]
 
 
+def test_cone_hamiltonian_tape_takes_no_field_partials(monkeypatch):
+    """sphere_weighted(3,2,4,3,3): the contraction reads the lifted Reeb
+    field's values and the gradient of ``r^2 h = r^2``, so its one tape has
+    the field's 8 components, ``r^2`` and its one non-zero partial as roots,
+    and none of the field's 13 partials."""
+    model = build_model("sphere_weighted(3,2,4,3,3)")
+    cone = build_cone(model.system, verify=False)
+    vector, hamiltonian = model.hamiltonian_pairs[0]
+    lifted = lift(cone, vector, hamiltonian, samples=128, seed=SEED, verify=False)
+    closure_check(cone, samples=128, seed=SEED)  # keeps the cone geometry
+    roots = []
+    compile_ = expressions._compile
+
+    def recording(exprs):
+        roots.append(len(exprs))
+        return compile_(exprs)
+
+    monkeypatch.setattr(expressions, "_compile", recording)
+    _, result = cone_hamiltonian(cone, lifted, hamiltonian, samples=128, seed=SEED)
+    assert result.passed
+    assert roots[-1] == 10
+
+
 # -- pointwise contracts against the symbolic calculus ---------------------
 
 #: The pointwise formulas and the symbolic forms sum the same products in

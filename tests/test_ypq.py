@@ -15,12 +15,14 @@ from contactkit.ypq import (
     YpqParams,
     circle_pairing_check,
     circle_weights,
+    class_table,
     classify,
     contact_pairing,
     coprime_pairs,
     enumerate_structures,
     format_class_table,
     format_dossier,
+    format_table,
     hirzebruch_data,
     homogeneous_coordinate_check,
     is_free,
@@ -365,6 +367,35 @@ class TestEnumeration:
         with pytest.raises(InvalidToricParameterError):
             enumerate_structures(1)
 
+    def test_class_table_small(self):
+        assert class_table(6) == {2: [1], 3: [1, 2], 4: [1, 3], 5: [1, 2, 3, 4], 6: [1, 5]}
+
+    def test_class_table_rejects_trivial_bound(self):
+        with pytest.raises(InvalidToricParameterError, match="p_max >= 2"):
+            class_table(1)
+
+    def test_class_table_rejects_wrong_class_size(self, monkeypatch):
+        real_totient = ypq_module.totient
+        monkeypatch.setattr(
+            ypq_module, "totient", lambda m: real_totient(m) - 1 if m == 7 else real_totient(m)
+        )
+        with pytest.raises(ArithmeticError, match=r"p = 7 has 6 members, totient\(p\) = 5"):
+            class_table(7)
+
+    @pytest.mark.parametrize("p_max", range(2, 61))
+    def test_enumerate_wraps_the_class_table(self, p_max):
+        wrapped = {p: [YpqParams(p, q) for q in qs] for p, qs in class_table(p_max).items()}
+        assert enumerate_structures(p_max) == wrapped
+        assert format_class_table(wrapped) == format_table(class_table(p_max))
+
+    @pytest.mark.parametrize("p_max", [2, 100])
+    def test_coprime_pairs_flatten_the_class_table(self, p_max):
+        flat = [YpqParams(p, q) for p, qs in class_table(p_max).items() for q in qs]
+        assert coprime_pairs(p_max) == flat
+
+    def test_coprime_pairs_empty_below_two(self):
+        assert coprime_pairs(1) == []
+
 
 class TestReport:
     def test_golden_dossier_values(self):
@@ -425,3 +456,6 @@ class TestReport:
         assert lines[0] == "p = 2  class size 1  (2,1)"
         assert "class size 4" in lines[3]
         assert "(6,1) (6,5)" in lines[4]
+
+    def test_format_empty_class_table(self):
+        assert format_class_table({}) == ""
