@@ -10,6 +10,8 @@ of toric contact structures indexed by two coprime integers.
 
 Layers, bottom up:
 
+- :mod:`contactkit.registry` -- the run defaults and the tolerance registry
+  of every check, without numpy.
 - :mod:`contactkit.expressions` -- immutable symbolic scalars with exact
   derivatives and vectorized evaluation.
 - :mod:`contactkit.charts` -- coordinate charts with seeded sampling, vector
@@ -21,126 +23,23 @@ Layers, bottom up:
 - :mod:`contactkit.models` -- closed-form model families bundled with their
   expected facts.
 - :mod:`contactkit.ypq` -- exact lattice data of the two-parameter toric
-  family, from weight vectors to quotient invariants.
-- :mod:`contactkit.cli` -- the ``contactkit`` command (``verify``,
-  ``bracket``, ``ypq``).
+  family, from weight vectors to quotient invariants, without numpy.
+- :mod:`contactkit.ypq_checks` -- the toric dossier's checks: level-set
+  samples and the sampled checks on them.
+- :mod:`contactkit.commands` -- the commands that use the numeric core:
+  ``verify`` with its forked workers, ``bracket`` and the ``ypq P Q``
+  dossier.
+- :mod:`contactkit.cli` -- the ``contactkit`` command: its parser,
+  configuration, output writers and ``ypq --enumerate``, without numpy; it
+  imports :mod:`contactkit.commands` when one of those commands runs.
+
+The package imports none of these modules itself.  Each name of
+:data:`__all__` is imported from the module that defines it on first
+access, so ``import contactkit`` and ``import contactkit.cli`` load no
+numpy.
 """
 
-from .charts import (
-    Chart,
-    ChartMismatchError,
-    DifferentialForm,
-    FormDegreeError,
-    SamplingError,
-    VectorField,
-    basis_field,
-    exterior_derivative,
-    interior_product,
-    lie_bracket,
-    lie_derivative,
-    one_form,
-    seeded_rng,
-    vector_field,
-    wedge,
-    zero_form,
-)
-from .cone import (
-    ConeSystem,
-    ContactTransformationError,
-    build_cone,
-    closure_check,
-    commuting_lift_check,
-    cone_hamiltonian,
-    homogeneity_check,
-    lift,
-    lift_checks,
-    nondegeneracy_check,
-    reeb_rate,
-    scale_covariance_check,
-)
-from .contact import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    TOLERANCES,
-    CheckResult,
-    ClassificationRecord,
-    ConformalFactorError,
-    ContactConditionError,
-    ContactSystem,
-    CoordinateMap,
-    GeometricError,
-    InverseMismatchError,
-    SingularSystemError,
-    classify_system,
-    conformal_bracket_law,
-    conjugacy_transport,
-    hamiltonian_contract_checks,
-    hamiltonian_field,
-    independence_rank,
-    involution_table,
-    is_contact_form,
-    is_first_integral,
-    is_good,
-    isotropy_defect,
-    jacobi_bracket,
-    reeb_defining_check,
-    reeb_field,
-    resolve_tolerance,
-    verify_flow_identity,
-)
-from .expressions import (
-    EvalDomainError,
-    ExprError,
-    ExprSyntaxError,
-    ScalarExpr,
-    UnknownCoordinateError,
-    const,
-    coord,
-    cos,
-    exp,
-    parse,
-    random_polynomial,
-    sin,
-    sqrt,
-)
-from .models import (
-    ExpectedFact,
-    ModelDescriptor,
-    basic_example,
-    build_model,
-    cosphere_torus,
-    darboux,
-    default_model_keys,
-    heisenberg,
-    sphere_weighted,
-)
-from .ypq import (
-    InvalidToricParameterError,
-    LevelSetSample,
-    YpqParams,
-    YpqReport,
-    circle_pairing_check,
-    circle_weights,
-    class_table,
-    classify,
-    coprime_pairs,
-    enumerate_structures,
-    hirzebruch_data,
-    homogeneous_coordinate_check,
-    is_free,
-    moment_circle,
-    moment_t4,
-    quotient_kahler_data,
-    quotient_reeb_weights,
-    reeb_positivity,
-    reeb_weights,
-    reparametrize_torus,
-    sample_level_set,
-    sasaki_cone_membership,
-    totient,
-    vertex_minimum,
-    ypq_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -256,3 +155,24 @@ __all__ = [
     "ypq_report",
     "enumerate_structures",
 ]
+
+#: The modules that define the names of :data:`__all__`, in the order they
+#: are searched: the numpy-free ones first, then the numeric core bottom up,
+#: so a lookup imports only a name's module and the modules it imports.
+_MODULES = ("registry", "ypq", "expressions", "charts", "contact", "cone", "models")
+
+
+def __getattr__(name: str):
+    """A name of :data:`__all__`, imported from the module that defines it
+    on first access and then kept here."""
+    if name in __all__:
+        for module_name in _MODULES:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

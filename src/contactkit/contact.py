@@ -34,6 +34,7 @@ import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
 from .expressions import EvalDomainError, ScalarExpr, _as_batch, _jets_of, _values_of, const, parse
+from .registry import DEFAULT_SAMPLES, DEFAULT_SEED, TOLERANCES, resolve_tolerance
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -68,9 +69,6 @@ __all__ = [
     "hamiltonian_contract_checks",
 ]
 
-DEFAULT_SEED = 20110615
-DEFAULT_SAMPLES = 128
-
 #: A solve is refused (the contact condition fails there) where the Hadamard
 #: ratio of the bordered matrix ``M`` is below this.  It inverts ``M`` with
 #: unit rows, whose ``|det|`` is the ratio, and unit rows give ``cond_2 < 2 /
@@ -79,48 +77,6 @@ SINGULAR_RATIO = 1e-12
 
 #: Sample count used for the construction-time contact check.
 VERIFY_SAMPLES = 32
-
-#: Default tolerance per named check, for every module of the package, so
-#: the registry does not depend on which modules were imported.  Callers may
-#: override any entry through the ``tolerances`` mapping accepted by every
-#: operation.
-TOLERANCES: dict[str, float] = {
-    "contact_determinant": 1e-10,
-    "reeb_defining": 1e-9,
-    "hamiltonian_pairing": 1e-9,
-    "hamiltonian_invariance": 1e-8,
-    "goodness": 1e-9,
-    "first_integral": 1e-9,
-    "flow_identity": 1e-8,
-    "isotropy_identity": 1e-8,
-    "bracket_antisymmetry": 1e-9,
-    "involution": 1e-8,
-    "conformal_law": 1e-7,
-    "rank_svd": 1e-8,
-    "dense_fraction": 0.5,
-    "inverse_roundtrip": 1e-9,
-    # cone.py
-    "cone_closure": 1e-10,
-    "cone_nondegeneracy": 1e-10,
-    "cone_homogeneity": 1e-8,
-    "lift_precondition": 1e-8,
-    "lift_invariance": 1e-8,
-    "lift_commuting": 1e-8,
-    "cone_contraction": 1e-8,
-    "scale_covariance": 1e-9,
-    # ypq.py
-    "level_set": 1e-12,
-}
-
-
-def resolve_tolerance(name: str, overrides: Mapping[str, float] | None = None) -> float:
-    """The effective tolerance for ``name``, honouring per-call overrides."""
-    if overrides is not None and name in overrides:
-        return float(overrides[name])
-    try:
-        return TOLERANCES[name]
-    except KeyError:
-        raise KeyError(f"unknown tolerance name {name!r}") from None
 
 
 class GeometricError(Exception):

@@ -6,14 +6,18 @@ sphere in C^4 by the circle subgroup of the 4-torus acting with weights
 This module computes the associated lattice data -- weight vectors,
 change-of-basis matrices, orbifold Hirzebruch quotients, weighted projective
 factors, vertex-enumerated Reeb minima -- in exact integer and ``Fraction``
-arithmetic.  Floating point appears only in level-set sampling, which draws
-points of the reduction locus and evaluates the contact pairing there.
+arithmetic, and imports nothing of the numeric core.
 
 The contact pairing of a torus generator with weight vector ``a`` at a point
 with squared moduli ``m`` is the linear functional ``sum_j a_j m_j``; on the
 level set the reduction circle pairs to zero and the Reeb generator stays
 strictly positive, with an exactly enumerable minimum over the vertices of
 the moment polytope slice.
+
+The dossier's checks -- level-set sampling and the sampled checks on it,
+and the homogeneous-coordinate bookkeeping -- return ``CheckResult``
+records and live in :mod:`contactkit.ypq_checks`.  They keep their names
+here: each is imported from there on first access.
 """
 
 from __future__ import annotations
@@ -22,17 +26,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-from .charts import seeded_rng
-from .contact import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    CheckResult,
-    _make_result,
-    resolve_tolerance,
-)
 
 __all__ = [
     "InvalidToricParameterError",
@@ -68,6 +61,17 @@ __all__ = [
     "format_class_table",
     "format_table",
 ]
+
+
+def __getattr__(name: str):
+    """The names of :data:`__all__` that :mod:`contactkit.ypq_checks`
+    defines, imported with it on first access."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ypq_checks
+
+    value = globals()[name] = getattr(ypq_checks, name)
+    return value
 
 
 class InvalidToricParameterError(ValueError):
@@ -152,81 +156,6 @@ def is_free(params: YpqParams) -> tuple[bool, str]:
 # -- the reduction level set -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelSetSample:
-    """A point of the zero set of the circle moment map on the unit level.
-
-    ``moduli`` are the squared moduli ``|z_j|^2`` satisfying, for parameters
-    (p, q),
-
-        (p - q) m1 + (p + q) m2 = 1/2      and      m3 + m4 = 1/(2p),
-
-    and ``phases`` are the four angular coordinates.
-    """
-
-    moduli: tuple[float, float, float, float]
-    phases: tuple[float, float, float, float]
-
-    def complex_coordinates(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(
-            math.sqrt(m) * complex(math.cos(t), math.sin(t))
-            for m, t in zip(self.moduli, self.phases)
-        )
-
-
-def _sample_moduli(params: YpqParams, count: int, seed: int) -> np.ndarray:
-    """Squared-moduli samples, shape (count, 4), drawn via the exact segment
-    parametrization of the two linear constraints."""
-    p, q = params.p, params.q
-    rng = seeded_rng(seed, f"ypq({p},{q})")
-    t = rng.uniform(0.0, 1.0, count)
-    s = rng.uniform(0.0, 1.0, count)
-    moduli = np.empty((count, 4))
-    moduli[:, 0] = (1.0 - t) / (2.0 * (p - q))
-    moduli[:, 1] = t / (2.0 * (p + q))
-    moduli[:, 2] = (1.0 - s) / (2.0 * p)
-    moduli[:, 3] = s / (2.0 * p)
-    return moduli
-
-
-def _sample_phases(params: YpqParams, count: int, seed: int) -> np.ndarray:
-    rng = seeded_rng(seed, f"ypq({params.p},{params.q}):phases")
-    return rng.uniform(0.0, 2.0 * math.pi, (count, 4))
-
-
-def sample_level_set(params: YpqParams, count: int, seed: int = DEFAULT_SEED) -> list[LevelSetSample]:
-    """Deterministic samples of the reduction level set.
-
-    Both defining constraints hold to within the ``level_set`` tolerance by
-    construction; a failed residual indicates broken arithmetic and raises.
-    """
-    moduli = _sample_moduli(params, count, seed)
-    phases = _sample_phases(params, count, seed)
-    tol = resolve_tolerance("level_set")
-    first, second = _constraint_residual_arrays(params, moduli)
-    worst = float(max(first.max(initial=0.0), second.max(initial=0.0)))
-    if worst > tol:
-        raise ArithmeticError(f"level-set parametrization off by {worst:.3e}")
-    return [
-        LevelSetSample(tuple(map(float, m)), tuple(map(float, t)))
-        for m, t in zip(moduli, phases)
-    ]
-
-
-def _constraint_residual_arrays(params: YpqParams, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p, q = params.p, params.q
-    first = np.abs((p - q) * moduli[:, 0] + (p + q) * moduli[:, 1] - 0.5)
-    second = np.abs(moduli[:, 2] + moduli[:, 3] - 1.0 / (2.0 * p))
-    return first, second
-
-
-def level_set_residuals(params: YpqParams, sample: LevelSetSample) -> tuple[float, float]:
-    """The two constraint residuals of one sample."""
-    moduli = np.asarray(sample.moduli, dtype=float)[None, :]
-    first, second = _constraint_residual_arrays(params, moduli)
-    return float(first[0]), float(second[0])
-
-
 def contact_pairing(weights: Sequence, moduli: Sequence[float]) -> float:
     """The contact form paired with the torus generator of weight vector
     ``weights`` at a point with squared moduli ``moduli``."""
@@ -248,54 +177,6 @@ def vertex_minimum(params: YpqParams, weights: Sequence) -> Fraction:
     first = min(a[0] / (2 * (p - q)), a[1] / (2 * (p + q)))
     second = min(a[2], a[3]) / (2 * p)
     return first + second
-
-
-def reeb_positivity(
-    params: YpqParams,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    """The Reeb generator pairs strictly positively on the level set.
-
-    Sampled values are combined with the exact vertex-enumerated minimum; the
-    check passes only if both are strictly positive.
-    """
-    weights = reeb_weights(params)
-    moduli = _sample_moduli(params, count, seed)
-    values = moduli @ np.asarray(weights, dtype=float)
-    exact = vertex_minimum(params, weights)
-    ok = bool(values.min() > 0.0) and exact > 0
-    shortfall = float(np.max(np.maximum(0.0, -values)))
-    residual = shortfall if shortfall > 0.0 else (0.0 if ok else 1.0)
-    worst = int(np.argmin(values))
-    return CheckResult(
-        name="reeb_positivity",
-        passed=ok,
-        max_residual=residual,
-        samples=count,
-        tolerance=0.0,
-        witness=tuple(float(m) for m in moduli[worst]),
-        detail={
-            "weights": list(weights),
-            "sampled_minimum": float(values.min()),
-            "exact_minimum": str(exact),
-            "exact_minimum_float": float(exact),
-        },
-    )
-
-
-def circle_pairing_check(
-    params: YpqParams,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    tolerances=None,
-) -> CheckResult:
-    """The reduction circle pairs to zero everywhere on its level set."""
-    tol = resolve_tolerance("level_set", tolerances)
-    weights = circle_weights(params)
-    moduli = _sample_moduli(params, count, seed)
-    values = np.abs(moduli @ np.asarray(weights, dtype=float))
-    return _make_result("circle_pairing_vanishes", values, tol, moduli, {"weights": list(weights)})
 
 
 def sasaki_cone_membership(
@@ -372,63 +253,6 @@ def reparametrize_torus(
                 f"{mapped} != {original.column(j)}"
             )
     return change, reduced
-
-
-# -- homogeneous coordinates of the quotient -------------------------------
-
-
-def homogeneous_coordinate_check(params: YpqParams) -> CheckResult:
-    """Bidegrees of the invariant monomials presenting the quotient surface.
-
-    For odd ``p`` the complexified 2-torus acts with per-coordinate weights
-    ``(2q,1), (0,1), (p,0), (p,0)``; the invariant monomials
-
-        y1 = z2^p z3^(2q),  y2 = z2^p z4^(2q),  y3 = z1^p,
-        w1 = z3,            w2 = z4
-
-    must have bidegrees ``(2pq, p)`` (the y's) and ``(p, 0)`` (the w's), and
-    the relation ``w1^(2q) y2 = w2^(2q) y1`` must balance exactly, with
-    exponent vector ``(0, p, 2q, 2q)`` on both sides.  Even ``p`` fails the
-    parity bookkeeping and is rejected.
-    """
-    p, q = params.p, params.q
-    if p % 2 == 0:
-        raise InvalidToricParameterError(
-            f"homogeneous-coordinate bidegrees need odd p, got p = {p}; "
-            "use the halved quotient data for even p"
-        )
-    weights = ((2 * q, 1), (0, 1), (p, 0), (p, 0))
-
-    def bidegree(exponents: tuple[int, int, int, int]) -> tuple[int, int]:
-        return (
-            sum(e * w[0] for e, w in zip(exponents, weights)),
-            sum(e * w[1] for e, w in zip(exponents, weights)),
-        )
-
-    y_exponents = ((0, p, 2 * q, 0), (0, p, 0, 2 * q), (p, 0, 0, 0))
-    w_exponents = ((0, 0, 1, 0), (0, 0, 0, 1))
-    y_expected = (2 * p * q, p)
-    w_expected = (p, 0)
-    checks = [bidegree(e) == y_expected for e in y_exponents]
-    checks += [bidegree(e) == w_expected for e in w_exponents]
-    left = tuple(2 * q * a + b for a, b in zip(w_exponents[0], y_exponents[1]))
-    right = tuple(2 * q * a + b for a, b in zip(w_exponents[1], y_exponents[0]))
-    relation = (0, p, 2 * q, 2 * q)
-    checks.append(left == relation and right == relation)
-    failures = sum(1 for ok in checks if not ok)
-    return CheckResult(
-        name="homogeneous_coordinates",
-        passed=failures == 0,
-        max_residual=float(failures),
-        samples=len(checks),
-        tolerance=0.0,
-        witness=None,
-        detail={
-            "y_bidegree": list(y_expected),
-            "w_bidegree": list(w_expected),
-            "relation_exponents": list(relation),
-        },
-    )
 
 
 # -- quotient invariants ---------------------------------------------------

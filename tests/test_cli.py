@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from contactkit import cli as cli_module
+from contactkit import commands as commands_module
 from contactkit.charts import Chart
 from contactkit.cli import (
     EXIT_BROKEN_PIPE,
@@ -30,10 +30,9 @@ from contactkit.cli import (
     _VALUE_OPTIONS,
     _emit_record,
     main,
-    model_battery,
     parse_config_file,
-    parse_one_form,
 )
+from contactkit.commands import model_battery, parse_one_form
 from contactkit.contact import GeometricError
 from contactkit.models import build_model
 
@@ -344,6 +343,17 @@ class TestBracketCommand:
         assert "{f, g} is not finite at (0.1, 0.2, 0.3)" in err
         assert "nan" not in err
 
+    @pytest.mark.parametrize("output", ["text", "records"])
+    @pytest.mark.parametrize("point", ["1,2,nan", "inf,1,1", "-inf,1,1", "1,1e400,1"])
+    def test_non_finite_point_is_a_bad_point_argument(self, capsys, point, output):
+        # A nan coordinate once gave "{f, g}(1, 2, nan) = 1" and exit 0 in
+        # text mode; inf blamed {f, g} and 1e400 blamed eta.
+        code, out, err = run_cli(
+            capsys, "bracket", "x,y,z", "dz - y*dx", "x", "y", point, "--format", output
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad point argument {point!r}: coordinates must be finite\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -609,7 +619,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(Chart, "_sampled", counting_sampled)
         monkeypatch.setattr(cone_module, "reeb_rate", counting_rate)
         # The counters see this process only, so every battery runs here.
-        monkeypatch.setattr(cli_module, "_worker_count", lambda models: 1)
+        monkeypatch.setattr(commands_module, "_worker_count", lambda models: 1)
         seen = []
         for _ in range(2):
             last = run_cli(capsys, "verify", "all", "--samples", "16")
@@ -652,7 +662,7 @@ class TestParallelVerify:
     @pytest.fixture
     def workers(self, monkeypatch):
         def force(count):
-            monkeypatch.setattr(cli_module, "_worker_count", lambda models: min(count, models))
+            monkeypatch.setattr(commands_module, "_worker_count", lambda models: min(count, models))
 
         return force
 
@@ -699,7 +709,7 @@ class TestParallelVerify:
     def test_error_in_a_child_matches_the_serial_run(
         self, capsys, workers, monkeypatch, count
     ):
-        battery = cli_module.model_battery
+        battery = commands_module.model_battery
         raised = []
 
         def failing(model, config):
@@ -708,7 +718,7 @@ class TestParallelVerify:
                 raise GeometricError("precondition fails on the sampled chart")
             return battery(model, config)
 
-        monkeypatch.setattr(cli_module, "model_battery", failing)
+        monkeypatch.setattr(commands_module, "model_battery", failing)
         workers(1)
         serial = run_cli(capsys, "verify", *self.KEYS, "--samples", "16")
         code, out, err = serial
@@ -727,7 +737,7 @@ class TestParallelVerify:
     def test_parent_runs_only_the_largest_chart(self, capsys, workers, monkeypatch, count):
         # The largest chart takes the most memory, so the parent's peak is
         # the serial pass's, and the same in every run.
-        parent, battery = os.getpid(), cli_module.model_battery
+        parent, battery = os.getpid(), commands_module.model_battery
         ran = []
 
         def recorded(model, config):
@@ -735,7 +745,7 @@ class TestParallelVerify:
                 ran.append(model.key)
             return battery(model, config)
 
-        monkeypatch.setattr(cli_module, "model_battery", recorded)
+        monkeypatch.setattr(commands_module, "model_battery", recorded)
         workers(count)
         assert run_cli(capsys, "verify", "all", "--samples", "16")[0] == EXIT_OK
         assert ran == ["sphere_weighted(3,2,4,3,3)"]
@@ -756,14 +766,14 @@ class TestParallelVerify:
             systems.append(weakref.ref(model.system))
             return model
 
-        monkeypatch.setattr(cli_module, "build_model", built)
+        monkeypatch.setattr(commands_module, "build_model", built)
         workers(count)
         # example_3_10's battery and report build isotropy-defect evaluators
         keys = ("darboux(1)", "heisenberg(1)", "example_3_10")
         enabled = gc.isenabled()
         gc.disable()
         try:
-            assert cli_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
+            assert commands_module.cmd_verify(keys, RunConfig(samples=16), io.StringIO()) == EXIT_OK
             assert len(systems) == 3 and all(ref() is None for ref in systems)
         finally:
             if enabled:
@@ -776,14 +786,14 @@ class TestParallelVerify:
         workers(1)
         serial = run_cli(capsys, "verify", *self.KEYS, "--samples", "16")
         assert serial[0] == EXIT_OK
-        parent, battery = os.getpid(), cli_module.model_battery
+        parent, battery = os.getpid(), commands_module.model_battery
 
         def dying(model, config):
             if os.getpid() != parent:
                 os._exit(1)  # dies holding its task, without writing anything
             return battery(model, config)
 
-        monkeypatch.setattr(cli_module, "model_battery", dying)
+        monkeypatch.setattr(commands_module, "model_battery", dying)
         workers(count)
         assert run_cli(capsys, "verify", *self.KEYS, "--samples", "16") == serial
         assert _no_child_left()
@@ -793,7 +803,7 @@ class TestParallelVerify:
         config = RunConfig(samples=16)
         keys = ("darboux(1)", "heisenberg(1)", "example_3_10")
         stream = io.StringIO()
-        assert cli_module.cmd_verify(keys, config, stream) == EXIT_OK
+        assert commands_module.cmd_verify(keys, config, stream) == EXIT_OK
         assert _no_child_left()
 
         class ClosedPipe:
@@ -801,27 +811,27 @@ class TestParallelVerify:
                 raise BrokenPipeError
 
         with pytest.raises(BrokenPipeError):
-            cli_module.cmd_verify(keys, config, ClosedPipe())
+            commands_module.cmd_verify(keys, config, ClosedPipe())
         assert _no_child_left()
 
-        parent, battery = os.getpid(), cli_module.model_battery
+        parent, battery = os.getpid(), commands_module.model_battery
 
         def interrupted(model, config):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return battery(model, config)
 
-        monkeypatch.setattr(cli_module, "model_battery", interrupted)
+        monkeypatch.setattr(commands_module, "model_battery", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            cli_module.cmd_verify(keys, config, io.StringIO())
+            commands_module.cmd_verify(keys, config, io.StringIO())
         assert _no_child_left()
 
         def geometric(model, config):
             raise GeometricError("no contact structure")
 
-        monkeypatch.setattr(cli_module, "model_battery", geometric)
+        monkeypatch.setattr(commands_module, "model_battery", geometric)
         with pytest.raises(GeometricError):
-            cli_module.cmd_verify(keys, config, io.StringIO())
+            commands_module.cmd_verify(keys, config, io.StringIO())
         assert _no_child_left()
 
     def test_children_reaped_by_the_kernel(self, capsys, workers):
@@ -840,24 +850,24 @@ class TestParallelVerify:
 
     def test_worker_count(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert cli_module._worker_count(1) == 1
+        assert commands_module._worker_count(1) == 1
         # The parent and one child per CPU, or one process on one CPU.
-        assert cli_module._worker_count(9) == (min(cpus + 1, 9) if cpus > 1 else 1)
+        assert commands_module._worker_count(9) == (min(cpus + 1, 9) if cpus > 1 else 1)
         # A task list longer than one atomic pipe write runs in one process.
-        assert cli_module._worker_count(cli_module._MAX_PIPED_MODELS + 1) == 1
+        assert commands_module._worker_count(commands_module._MAX_PIPED_MODELS + 1) == 1
 
     def test_receive_keeps_whole_outcomes_of_a_cut_stream(self):
         # A child that dies while writing leaves a pickle cut short at any byte.
         model = build_model("example_3_10")
-        outcome = cli_module.model_battery(model, RunConfig(samples=16)), model.report_lines()
+        outcome = commands_module.model_battery(model, RunConfig(samples=16)), model.report_lines()
         first = pickle.dumps((0, outcome), pickle.HIGHEST_PROTOCOL)
         data = first + pickle.dumps((1, outcome), pickle.HIGHEST_PROTOCOL)
         for cut in range(len(data)):
             outcomes = [None, None]
-            cli_module._receive(io.BytesIO(data[:cut]), outcomes)
+            commands_module._receive(io.BytesIO(data[:cut]), outcomes)
             assert outcomes == [outcome if cut >= len(first) else None, None]
         outcomes = [None, None]
-        cli_module._receive(io.BytesIO(data), outcomes)
+        commands_module._receive(io.BytesIO(data), outcomes)
         assert outcomes == [outcome, outcome]
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from contactkit import cone as cone_module
 from contactkit import expressions
-from contactkit.cli import RunConfig, model_battery
 from contactkit.charts import (
     Chart,
     ChartMismatchError,
@@ -22,6 +21,8 @@ from contactkit.charts import (
     one_form,
     vector_field,
 )
+from contactkit.cli import RunConfig
+from contactkit.commands import model_battery
 from contactkit.cone import (
     ContactTransformationError,
     _bracket,
@@ -486,7 +487,7 @@ class TestKeptConeAndLifts:
         # precondition at the battery's samples and seed, not its defaults
         import inspect
 
-        from contactkit import cli as cli_module
+        from contactkit import commands as commands_module
 
         received = []
         signature = inspect.signature(lift)
@@ -498,7 +499,7 @@ class TestKeptConeAndLifts:
             return lift(*args, **kwargs)
 
         monkeypatch.setattr(cone_module, "lift", recording)
-        monkeypatch.setattr(cli_module, "lift", recording)
+        monkeypatch.setattr(commands_module, "lift", recording)
         model = build_model("example_3_10")
         entries = model_battery(model, RunConfig(samples=128, seed=SEED))
         assert all(result.passed for _, result in entries)
@@ -532,7 +533,7 @@ class TestKeptConeAndLifts:
 
     def test_cone_checks_run_before_the_system_keeps_its_geometry(self, monkeypatch):
         # the cone's arrays and the facts' base geometry are never held at once
-        from contactkit import cli as cli_module
+        from contactkit import commands as commands_module
 
         model = build_model("sphere_weighted(3,2,4,3,3)")
         seen = []
@@ -546,11 +547,11 @@ class TestKeptConeAndLifts:
             "commuting_lift_check",
         ):
 
-            def watched(*args, _check=getattr(cli_module, name), _name=name, **kwargs):
+            def watched(*args, _check=getattr(commands_module, name), _name=name, **kwargs):
                 seen.append((_name, model.system._geometry is None))
                 return _check(*args, **kwargs)
 
-            monkeypatch.setattr(cli_module, name, watched)
+            monkeypatch.setattr(commands_module, name, watched)
         entries = model_battery(model, RunConfig(samples=128, seed=SEED))
         assert all(result.passed for _, result in entries)
         assert len(seen) == 4 + 2 * len(model.hamiltonian_pairs) + bool(model.commuting_pairs)
