@@ -17,9 +17,12 @@ system square: with ``E`` the coefficients of eta and ``D`` the matrix of
 and the solve's guard.  One batched inverse of ``M`` with unit rows yields
 the field and its Reeb derivative; the Reeb field is ``h = 1`` (``a = 0``).
 Spatial Jacobians of solved fields come from differentiating the linear
-system itself -- ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` -- never from
-finite differences; brackets are then computed as ``eta([X_f, X_g])`` from
-honest field commutators, which makes the identities checked in this module
+system itself -- ``M d_k[X; a] = d_k[-dh; h] - (d_k M) [X; a]`` -- never from
+finite differences.  ``d_k M`` is never formed: its product with ``[X; a]``
+is contracted from eta's first derivatives and, for a curved eta, from its
+coefficients' Hessians, jetted again only for a solve that asks for
+Jacobians.  Brackets are then computed as ``eta([X_f, X_g])`` from honest
+field commutators, which makes the identities checked in this module
 genuine cross-checks on the solver rather than restatements of its defining
 equations.
 """
@@ -269,14 +272,15 @@ class _Solved:
     """One function solved on a geometry: its value and gradient, its Reeb
     derivative ``a``, its field and the field's Jacobian.
 
-    ``X[n, i]`` are field components; ``dX[n, i, k] = d_k X^i``.
+    ``X[n, i]`` are field components; ``dX[n, i, k] = d_k X^i``, or ``None``
+    where the solve was not asked for Jacobians.
     """
 
     value: np.ndarray
     grad: np.ndarray
     a: np.ndarray
     X: np.ndarray
-    dX: np.ndarray
+    dX: np.ndarray | None
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -322,13 +326,15 @@ class _Geometry:
     inverse, and the fields solved from them.
 
     Index conventions: ``E[n, k] = eta_k``, ``dE[n, i, k] = d_i eta_k``,
-    ``D[n, i, j] = dEta(e_i, e_j)``, ``M`` the bordered matrix ``[[D^T, -E],
-    [E^T, 0]]`` of the field system, built here and nowhere else, and
-    ``dM[n, k, row, col] = d_k M[row, col]``.  The contact verdict and the
-    guard of ``inverse`` (the pointwise ``M^-1``, computed on first use) read
-    one Hadamard ratio, the first of ``hadamard = _hadamard(M)``.  ``solved``
-    and the pointwise quantities below read these arrays and keep nothing of
-    the expressions they are given.
+    ``D[n, i, j] = dEta(e_i, e_j)``, and ``M`` the bordered matrix ``[[D^T,
+    -E], [E^T, 0]]`` of the field system, built here and nowhere else.  The
+    contact verdict and the guard of ``inverse`` (the pointwise ``M^-1``,
+    computed on first use) read one Hadamard ratio, the first of ``hadamard
+    = _hadamard(M)``.  eta's Hessians are not kept: ``curved`` records
+    whether any coefficient has one that is not structurally zero, and a
+    solve that asks for Jacobians jets eta's coefficients again for them.
+    ``solved`` and the pointwise quantities below read these arrays and keep
+    nothing of the expressions they are given.
 
     A system keeps one geometry for every operation on the same points, so
     its arrays are read-only.  The lazy inverse is computed whole and then
@@ -339,39 +345,34 @@ class _Geometry:
         n, d = pts.shape
         E = np.zeros((n, d))
         dE = np.zeros((n, d, d))
-        # d_k M[r, i] = d_k d_i eta_r - d_k d_r eta_i in the D^T block, filled
-        # from each coefficient's Hessian as soon as the one tape of all the
-        # coefficients has computed it, so no other finished Hessian is held.
-        dM = np.zeros((n, d, d + 1, d + 1))
-        coefficients = system.eta.coefficients
-        columns = [k for (k,) in coefficients]
+        coefficients = tuple(system.eta.coefficients.values())
+        columns = tuple(k for (k,) in system.eta.coefficients)
+        curved = False
 
         def take(r, v, g, h):
+            nonlocal curved
             k = columns[r]
             E[:, k] = v
             if g is not None:
                 dE[:, :, k] = g
-            if h is not None:
-                dM[:, :, k, :d] += h
-                dM[:, :, :d, k] -= h
+            curved = curved or h is not None
 
-        _jets_of(list(coefficients.values()), pts, take)
+        _jets_of(coefficients, pts, take)
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
         M = np.zeros((n, d + 1, d + 1))
         M[:, :d, :d] = np.swapaxes(D, 1, 2)
         M[:, :d, d] = -E
         M[:, d, :d] = E
-        dM[:, :, :d, d] = -dE
-        dM[:, :, d, :d] = dE
         self.key, self.points = _kept_points(pts)
         self.E = E
         self.dE = dE
         self.D = D
         self.M = M
-        self.dM = dM
         self.hadamard = _hadamard(M)
-        _read_only(self.points, E, dE, D, M, dM, *self.hadamard)
+        _read_only(self.points, E, dE, D, M, *self.hadamard)
+        self.curved = curved
+        self._eta = coefficients, columns  # jetted again for the Hessians
         self._inverse: np.ndarray | None = None
 
     # -- linear algebra ---------------------------------------------------
@@ -400,15 +401,16 @@ class _Geometry:
             self._inverse = inverse
         return self._inverse
 
-    def solved(self, *exprs: ScalarExpr) -> tuple[_Solved, ...]:
+    def solved(self, *exprs: ScalarExpr, jacobians: bool = False) -> tuple[_Solved, ...]:
         """The fields of ``exprs``, jetted together on one tape.  For each
         ``h``, ``M [X; a] = [-dh; h]`` gives ``X`` and its Reeb derivative
-        ``a = R h``, and ``M d[X; a] = [-d^2 h; dh] - (dM) [X; a]`` the
-        Jacobian ``dX``.  The tape writes each function's value, gradient and
-        Hessian straight into its right-hand sides ``b`` and ``db``; a
-        structurally zero gradient or Hessian is written as the negated
-        zeros ``-0.0``.  The functions' domain errors come before the
-        inverse's :class:`SingularSystemError`.
+        ``a = R h``; with ``jacobians``, ``M d[X; a] = [-d^2 h; dh] - T`` gives
+        the Jacobian ``dX``, else ``dX`` is ``None``.  ``T[r, k] = d_k M[r, i]
+        Y_i`` with ``Y = [X; a]`` (see :meth:`_jacobian_terms`).  The tape
+        writes each function's value, gradient and Hessian straight into its
+        right-hand sides ``b`` and ``db``; a structurally zero gradient or
+        Hessian is written as the negated zeros ``-0.0``.  The functions'
+        domain errors come before the inverse's :class:`SingularSystemError`.
 
         An overflow gives ``inf`` or ``nan`` entries without a numpy
         warning; callers that report a value check it is finite."""
@@ -417,31 +419,70 @@ class _Geometry:
 
         def take(r, v, g, h):
             b = np.empty((n, d + 1))
-            db = np.empty((n, d + 1, d))
             b[:, d] = v
             if g is None:
+                grad = np.zeros((n, d))
                 b[:, :d] = -0.0
-                db[:, d, :] = 0.0
             else:
+                grad = g.copy()
                 np.negative(g, out=b[:, :d])
-                db[:, d, :] = g
-            if h is None:
-                db[:, :d, :] = -0.0
-            else:
-                np.negative(np.swapaxes(h, 1, 2), out=db[:, :d, :])
-            rhs[r] = b, db
+            db = None
+            if jacobians:
+                db = np.empty((n, d + 1, d))
+                db[:, d, :] = grad
+                if h is None:
+                    db[:, :d, :] = -0.0
+                else:
+                    np.negative(np.swapaxes(h, 1, 2), out=db[:, :d, :])
+            rhs[r] = b, grad, db
 
         _jets_of(exprs, self.points, take)
-        solved = []
         with np.errstate(all="ignore"):
             inverse = self.inverse()
-            for r, (b, db) in enumerate(rhs):
-                rhs[r] = None  # each db is freed once solved
-                Y = (inverse @ b[:, :, None])[:, :, 0]
-                dY = inverse @ (db - np.einsum("nkri,ni->nrk", self.dM, Y))
-                value, grad = b[:, d].copy(), db[:, d, :].copy()
-                solved.append(_Solved(value, grad, Y[:, d], Y[:, :d], dY[:, :d, :]))
+            Ys = [(inverse @ b[:, :, None])[:, :, 0] for b, _, _ in rhs]
+            terms = self._jacobian_terms(Ys) if jacobians else [None] * len(Ys)
+            solved = []
+            for r, (Y, T) in enumerate(zip(Ys, terms)):
+                b, grad, db = rhs[r]
+                rhs[r] = terms[r] = None  # each db and T is freed once solved
+                dX = None if db is None else (inverse @ (db - T))[:, :d, :]
+                solved.append(_Solved(b[:, d].copy(), grad, Y[:, d], Y[:, :d], dX))
         return tuple(solved)
+
+    def _jacobian_terms(self, Ys: list[np.ndarray]) -> list[np.ndarray]:
+        """Per solved ``Y = [X; a]``, ``T[n, r, k] = sum_i d_k M[r, i] Y_i``.
+
+        With ``H_c`` the Hessian of ``eta_c``, that is ``sum_i (H_r[k, i] -
+        H_i[k, r]) X_i - d_k eta_r a`` for ``r < d`` and ``sum_i d_k eta_i
+        X_i`` for ``r = d``.  The terms in ``dE`` come from the kept ``dE``;
+        for a curved eta, one more tape of eta's coefficients adds each
+        ``H_c`` into every ``T`` when it is computed, and keeps none.  The
+        Hessian terms are summed point last, in the tape's own layout."""
+        n, d = self.points.shape
+        terms = []
+        for Y in Ys:
+            T = np.empty((n, d + 1, d))
+            np.multiply(np.swapaxes(self.dE, 1, 2), -Y[:, d, None, None], out=T[:, :d, :])
+            T[:, d, :] = np.einsum("nki,ni->nk", self.dE, Y[:, :d])
+            terms.append(T)
+        if self.curved:
+            coefficients, columns = self._eta
+            fields = [Y[:, :d].T.copy() for Y in Ys]
+            hessian_terms = [np.zeros((d + 1, d, n)) for _ in Ys]
+
+            def take(c, v, g, h):
+                if h is None:
+                    return
+                k = columns[c]
+                h = h.transpose(1, 2, 0)
+                for X, S in zip(fields, hessian_terms):
+                    S[k] += np.einsum("kin,in->kn", h, X)
+                    S[:d] -= h.transpose(1, 0, 2) * X[k]
+
+            _jets_of(coefficients, self.points, take)
+            for T, S in zip(terms, hessian_terms):
+                T += S.transpose(2, 0, 1)
+        return terms
 
     def reeb(self) -> np.ndarray:
         """The Reeb field: the ``h = 1`` solve, whose right-hand side is the
@@ -536,10 +577,10 @@ class HamiltonianFieldEvaluator:
         self.system = system
         self.hamiltonian = hamiltonian
 
-    def _solved(self, points) -> tuple[_Geometry, _Solved, bool]:
+    def _solved(self, points, jacobians: bool = False) -> tuple[_Geometry, _Solved, bool]:
         pts, single = _as_batch(points, self.system.chart.dim)
         geometry = _shared_geometry(self.system, pts)
-        (s,) = geometry.solved(self.hamiltonian)
+        (s,) = geometry.solved(self.hamiltonian, jacobians=jacobians)
         return geometry, s, single
 
     def evaluate(self, points) -> np.ndarray:
@@ -551,7 +592,7 @@ class HamiltonianFieldEvaluator:
 
     def jacobian(self, points) -> np.ndarray:
         """``J[n, i, k] = d_k X^i`` (or ``(dim, dim)`` for a single point)."""
-        _, s, single = self._solved(points)
+        _, s, single = self._solved(points, jacobians=True)
         return s.dX[0] if single else s.dX
 
     def reeb_derivative(self, points) -> np.ndarray | float:
@@ -562,7 +603,7 @@ class HamiltonianFieldEvaluator:
     def residual_arrays(self, points) -> dict[str, np.ndarray]:
         """Per-sample defining-equation residuals, as
         :meth:`_Geometry.defining_residuals` names them."""
-        geometry, s, _ = self._solved(points)
+        geometry, s, _ = self._solved(points, jacobians=True)
         return geometry.defining_residuals(s)
 
     def residuals(self, points) -> dict[str, float]:
@@ -650,7 +691,7 @@ def hamiltonian_field(system: ContactSystem, h: ScalarExpr) -> HamiltonianFieldE
 def jacobi_bracket(system: ContactSystem, f: ScalarExpr, g: ScalarExpr) -> ScalarEvaluator:
     """Pointwise values of ``eta([X_f, X_g])``; antisymmetric in (f, g)."""
     _require_on_chart(system.chart, "function", f, g)
-    return ScalarEvaluator(system, lambda geo: geo.bracket(*geo.solved(f, g)))
+    return ScalarEvaluator(system, lambda geo: geo.bracket(*geo.solved(f, g, jacobians=True)))
 
 
 def is_good(
@@ -699,7 +740,7 @@ def verify_flow_identity(
     _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sh, sf = geometry.solved(h, f)
+    sh, sf = geometry.solved(h, f, jacobians=True)
     residuals = np.abs(_directional(sh, sf) - sh.a * sf.value - geometry.bracket(sh, sf))
     tol = resolve_tolerance("flow_identity", tolerances)
     detail = {"hamiltonian": str(h), "function": str(f)}
@@ -727,7 +768,7 @@ def involution_table(
     tol = resolve_tolerance("involution", tolerances)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sols = geometry.solved(*fns)
+    sols = geometry.solved(*fns, jacobians=True)
     table: list[list[CheckResult]] = []
     for i, si in enumerate(sols):
         row = []
@@ -761,10 +802,15 @@ def independence_rank(
 def _pointwise_rank(columns: np.ndarray, rel: float, points: np.ndarray) -> tuple[int, float]:
     """Max over points of the numerical rank of ``columns[n]`` (singular
     values above ``rel`` times the largest) and the fraction of points
-    attaining it."""
+    attaining it.  One column's only singular value is its norm, which is
+    above ``rel`` times itself exactly where the column is not zero, so
+    that case needs no SVD."""
     _require_finite("a field", points, columns)
-    svals = np.linalg.svd(columns, compute_uv=False)
-    ranks = np.sum(svals > rel * svals[:, :1], axis=1)
+    if columns.shape[2] == 1:
+        ranks = np.any(columns[:, :, 0] != 0.0, axis=1).astype(int)
+    else:
+        svals = np.linalg.svd(columns, compute_uv=False)
+        ranks = np.sum(svals > rel * svals[:, :1], axis=1)
     max_rank = int(ranks.max())
     return max_rank, float(np.mean(ranks == max_rank))
 
@@ -818,7 +864,7 @@ def classify_system(
 
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    sols = geometry.solved(*family)
+    sols = geometry.solved(*family, jacobians=True)
     sh = sols[0]
 
     first_integral_residual = max(
@@ -891,11 +937,11 @@ def conformal_bracket_law(
         system.chart, system.eta.scaled(conformal_factor), verify=False
     )
     rescaled_geometry = _shared_geometry(rescaled, pts)
-    lhs = rescaled_geometry.bracket(*rescaled_geometry.solved(g, h))
+    lhs = rescaled_geometry.bracket(*rescaled_geometry.solved(g, h, jacobians=True))
     geometry = _shared_geometry(system, pts)
     g_over = g / conformal_factor
     h_over = h / conformal_factor
-    rhs = factor_values * geometry.bracket(*geometry.solved(g_over, h_over))
+    rhs = factor_values * geometry.bracket(*geometry.solved(g_over, h_over, jacobians=True))
     tol = resolve_tolerance("conformal_law", tolerances)
     detail = {"factor": str(conformal_factor), "g": str(g), "h": str(h)}
     return _make_result("conformal_bracket_law", np.abs(lhs - rhs), tol, pts, detail)
@@ -1066,7 +1112,7 @@ def hamiltonian_contract_checks(
     _require_on_chart(system.chart, "function", h)
     pts = system.chart.sample(samples, seed)
     geometry = _shared_geometry(system, pts)
-    residuals = geometry.defining_residuals(*geometry.solved(h))
+    residuals = geometry.defining_residuals(*geometry.solved(h, jacobians=True))
     detail = {"hamiltonian": str(h)}
     return tuple(
         _make_result(name, residuals[key], resolve_tolerance(name, tolerances), pts, detail)

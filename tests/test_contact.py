@@ -532,9 +532,28 @@ class TestFlowIdentity:
                 assert result.passed, f"{sys.name}: {result}"
 
 
-def _solved_apart(geometry, expr):
+def _dense_dM(system, pts):
+    """``dM[n, k, row, col] = d_k M[row, col]`` of the bordered matrix ``M =
+    [[D^T, -E], [E^T, 0]]``, assembled densely from eta's coefficient jets:
+    the reference for the solve's Jacobian term."""
+    n, d = pts.shape
+    dE = np.zeros((n, d, d))
+    dM = np.zeros((n, d, d + 1, d + 1))
+    for (k,), coefficient in system.eta.coefficients.items():
+        _, grad, hess = coefficient.jets(pts)
+        dE[:, :, k] = grad
+        dM[:, :, k, :d] += hess
+        dM[:, :, :d, k] -= hess
+    dM[:, :, :d, d] = -dE
+    dM[:, :, d, :d] = dE
+    return dM
+
+
+def _solved_apart(system, geometry, expr):
     """One function's solve from its own ``jets``, with the right-hand
-    sides built from dense zeros: the reference for one shared tape."""
+    sides built from dense zeros and the Jacobian term from the dense
+    ``dM``: the reference for one shared tape and for the contraction of
+    eta's Hessians."""
     h, dh, d2h = expr.jets(geometry.points)
     n, d = geometry.points.shape
     with np.errstate(all="ignore"):
@@ -546,7 +565,7 @@ def _solved_apart(geometry, expr):
         db = np.empty((n, d + 1, d))
         db[:, :d, :] = -np.swapaxes(d2h, 1, 2)
         db[:, d, :] = dh
-        dY = inverse @ (db - np.einsum("nkri,ni->nrk", geometry.dM, Y))
+        dY = inverse @ (db - np.einsum("nkri,ni->nrk", _dense_dM(system, geometry.points), Y))
     return h, dh, Y[:, d], Y[:, :d], dY[:, :d, :]
 
 
@@ -581,10 +600,98 @@ class TestOneTapePerSolve:
         sys = heisenberg(1)
         geometry = contact_module._shared_geometry(sys, sys.chart.sample(64, SEED))
         exprs = [sys.chart.parse(s) for s in sources]
-        for s, expr in zip(geometry.solved(*exprs), exprs):
+        for s, expr in zip(geometry.solved(*exprs, jacobians=True), exprs):
             got = (s.value, s.grad, s.a, s.X, s.dX)
-            for a, b in zip(got, _solved_apart(geometry, expr)):
+            for a, b in zip(got, _solved_apart(sys, geometry, expr)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestJacobianTerm:
+    """The solve's Jacobian term ``d_k M [X; a]`` is contracted from eta's
+    Hessians on request; the geometry keeps no ``d M``."""
+
+    CURVED = ("cosphere_torus(2)", "sphere_weighted(1,1,1)", "sphere_weighted(3,2,4,3,3)")
+
+    @staticmethod
+    def _tapes(monkeypatch):
+        tapes = []
+        jets_of = contact_module._jets_of
+
+        def spy(exprs, *args, **kwargs):
+            tapes.append(tuple(exprs))
+            return jets_of(exprs, *args, **kwargs)
+
+        monkeypatch.setattr(contact_module, "_jets_of", spy)
+        return tapes
+
+    @pytest.mark.parametrize("key", CURVED)
+    def test_jacobian_matches_dense_reference_and_differences(self, key):
+        system = build_model(key).system
+        h = random_polynomial(system.chart.coords, 3, np.random.default_rng([SEED, 43]))
+        pts = system.chart.sample(64, SEED)
+        field = hamiltonian_field(system, h)
+        J = field.jacobian(pts)
+        geometry = system._geometry
+        assert geometry.curved
+        reference = _solved_apart(system, geometry, h)[4]
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(J - reference)) <= 1e-12 * scale
+        step = 1e-6
+        for k in range(system.chart.dim):
+            offset = np.zeros(system.chart.dim)
+            offset[k] = step
+            column = (field.evaluate(pts + offset) - field.evaluate(pts - offset)) / (2 * step)
+            assert np.max(np.abs(J[:, :, k] - column)) <= 1e-6 * scale
+
+    def test_request_without_jacobians_runs_no_eta_tape(self, monkeypatch):
+        system = build_model("cosphere_torus(2)").system
+        rng = np.random.default_rng([SEED, 44])
+        h, f = (random_polynomial(system.chart.coords, 3, rng) for _ in range(2))
+        pts = system.chart.sample(64, SEED)
+        geometry = contact_module._shared_geometry(system, pts)
+        assert geometry.curved
+        tapes = self._tapes(monkeypatch)
+        assert all(s.dX is None for s in geometry.solved(h, f))
+        field = hamiltonian_field(system, h)
+        field.evaluate(pts)
+        field.reeb_derivative(pts)
+        is_good(system, h, samples=64, seed=SEED)
+        is_first_integral(system, h, f, samples=64, seed=SEED)
+        isotropy_defect(system, h, f).evaluate(pts)
+        independence_rank(system, (h, f), samples=64, seed=SEED)
+        assert system._geometry is geometry
+        assert tapes == [(h, f), (h,), (h,), (h,), (h,), (h, f), (h, f)]
+        # A request that reads dX jets eta's coefficients once more.
+        field.jacobian(pts)
+        assert tapes[7:] == [(h,), tuple(system.eta.coefficients.values())]
+
+    def test_flat_eta_never_jets_eta_again(self, monkeypatch):
+        system = heisenberg(1)
+        h, f = (system.chart.parse(s) for s in TestOneTapePerSolve.PAIRS[1])
+        pts = system.chart.sample(64, SEED)
+        assert not contact_module._shared_geometry(system, pts).curved
+        tapes = self._tapes(monkeypatch)
+        verify_flow_identity(system, h, f, samples=64, seed=SEED)
+        hamiltonian_field(system, h).jacobian(pts)
+        assert tapes == [(h, f), (h,)]
+
+    @pytest.mark.parametrize("key", ("darboux(1)", *CURVED))
+    def test_kept_arrays_stay_within_the_bordered_size(self, key):
+        system = build_model(key).system
+        h = random_polynomial(system.chart.coords, 3, np.random.default_rng([SEED, 45]))
+        pts = system.chart.sample(64, SEED)
+        hamiltonian_field(system, h).jacobian(pts)
+        geometry = system._geometry
+        arrays, pending = [], list(vars(geometry).values())
+        while pending:
+            value = pending.pop()
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (tuple, list)):
+                pending.extend(value)
+        assert geometry._inverse is not None and len(arrays) >= 9
+        n, d = pts.shape
+        assert max(a.size for a in arrays) <= n * (d + 1) ** 2
 
 
 # -- isotropy defect ------------------------------------------------------
@@ -708,6 +815,31 @@ class TestIndependenceRank:
         rank, fraction = independence_rank(sys, [one, const(1.0, sys.chart.coords)], seed=SEED)
         assert rank == 1
         assert fraction == 1.0
+
+
+class TestPointwiseRank:
+    @pytest.mark.parametrize("width", (1, 2))
+    def test_matches_the_svd_with_zero_columns(self, width):
+        rng = np.random.default_rng([SEED, 46, width])
+        columns = rng.normal(size=(40, 5, width))
+        columns[::3] = 0.0
+        columns[1, :, 0] = 0.0
+        columns[4] = 0.0
+        columns[4, 3, :] = 1e-300  # its square underflows; it is still not zero
+        pts = rng.normal(size=(40, 5))
+        rel = TOLERANCES["rank_svd"]
+        svals = np.linalg.svd(columns, compute_uv=False)
+        ranks = np.sum(svals > rel * svals[:, :1], axis=1)
+        expected = (int(ranks.max()), float(np.mean(ranks == ranks.max())))
+        assert contact_module._pointwise_rank(columns, rel, pts) == expected
+        zeros = np.zeros((4, 5, width))
+        assert contact_module._pointwise_rank(zeros, rel, pts[:4]) == (0, 1.0)
+
+    def test_single_column_takes_no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", None)
+        columns = np.zeros((3, 5, 1))
+        columns[1, 2, 0] = -2.0
+        assert contact_module._pointwise_rank(columns, 1e-8, np.zeros((3, 5))) == (1, 1 / 3)
 
 
 # -- classification -------------------------------------------------------
@@ -1171,7 +1303,7 @@ class TestSharedFrame:
         sys = darboux3()
         reeb_defining_check(sys, seed=SEED)
         geometry = sys._geometry
-        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.M, geometry.dM]
+        shared = [geometry.points, geometry.E, geometry.dE, geometry.D, geometry.M]
         shared += [*geometry.hadamard, geometry.inverse(), geometry.reeb()]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
