@@ -150,10 +150,8 @@ __all__ = [
     "quotient_kahler_data",
     "classify",
     "totient",
-    "coprime_pairs",
     "class_table",
     "ypq_report",
-    "enumerate_structures",
 ]
 
 #: The modules that define the names of :data:`__all__`, in the order they

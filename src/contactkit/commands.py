@@ -7,11 +7,13 @@ load no numpy.  Each command returns its exit code and raises the CLI's
 ``UsageError`` for bad input; :func:`run` also turns a failed geometric
 precondition into an error on stdout with exit code 3.
 
-``verify`` runs the models' batteries in parallel, on Linux only, where
-more than one CPU is usable (the process's CPU affinity).  The parent runs
-the model with the largest chart itself; ``os.fork`` makes one child per
-usable CPU, at most one per other model, and each child pulls the next of
-the other models, largest chart first, and sends its lines back.  Once
+A model's battery is its ``ModelDescriptor.verify_all``, so ``verify``
+prints what the Python API returns.  ``verify`` runs the models' batteries
+in parallel, on Linux only, where more than one CPU is usable (the
+process's CPU affinity).  The parent runs the model with the largest chart
+itself; ``os.fork`` makes one child per usable CPU, at most one per other
+model, and each child pulls the next of the other models, largest chart
+first, and sends its lines back.  Once
 every battery has run, the parent writes the models in the order asked, so
 the output bytes and the exit code do not depend on the number of workers.
 If a battery raises, or its worker dies, the parent runs that model again
@@ -43,17 +45,6 @@ from .cli import (
     _emit_record,
     _write_error,
 )
-from .cone import (
-    build_cone,
-    closure_check,
-    commuting_lift_check,
-    cone_hamiltonian,
-    homogeneity_check,
-    lift,
-    lift_checks,
-    nondegeneracy_check,
-    scale_covariance_check,
-)
 from .contact import CheckResult, ContactSystem, GeometricError, hamiltonian_field, jacobi_bracket
 from .expressions import ExprError, ScalarExpr, const, parse
 from .models import ModelDescriptor, build_model, default_model_keys
@@ -61,8 +52,6 @@ from .ypq import YpqParams, format_dossier, is_free, ypq_report
 from .ypq_checks import circle_pairing_check, homogeneous_coordinate_check, reeb_positivity
 
 __all__ = ["run", "cmd_verify", "cmd_bracket", "cmd_dossier", "model_battery", "parse_one_form"]
-
-_SCALE_FACTOR = 2.0
 
 
 def run(args: argparse.Namespace, config: RunConfig, stream) -> int:
@@ -171,56 +160,10 @@ def _check_line(label: str, result: CheckResult) -> str:
 
 
 def model_battery(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, CheckResult]]:
-    """Every check of one model, labelled and sorted.
-
-    The battery is the model's expected facts plus the symplectization
-    contracts: cone closure/nondegeneracy/homogeneity, scale covariance at a
-    fixed factor, and -- for every closed-form (field, Hamiltonian) pair --
-    the lift invariances and the induced-Hamiltonian contraction, with the
-    commuting family checked jointly.  Checks from per-pair constructions are
-    disambiguated as ``name[hamiltonian]``.  The battery builds the cone once
-    and lifts each pair once, and passes them to every check that needs them.
-    The cone checks run first, and their cone is gone before the facts keep
-    the system's geometry, so the two sets of arrays are never held at once.
-    """
-    entries = _cone_entries(model, config)
-    entries += [
-        (fact.name, fact.run(config.samples, config.seed, config.overrides))
-        for fact in model.expected
-    ]
-    entries.sort(key=lambda entry: entry[0])
-    return entries
-
-
-def _cone_entries(model: ModelDescriptor, config: RunConfig) -> list[tuple[str, CheckResult]]:
-    """The symplectization contracts of ``model``'s battery, on one cone that
-    dies, with the cone geometry it keeps, when this returns."""
-    overrides = config.overrides
-    samples, seed = config.samples, config.seed
-    cone = build_cone(model.system, verify=False)
-    entries = [("cone_closure", closure_check(cone, samples, seed, overrides))]
-    entries.append(("cone_nondegeneracy", nondegeneracy_check(cone, samples, seed, overrides)))
-    entries.append(("cone_homogeneity", homogeneity_check(cone, samples, seed, overrides)))
-    entries.append(
-        ("scale_covariance", scale_covariance_check(cone, _SCALE_FACTOR, samples, seed, overrides))
-    )
-    lifts = {}
-    for vector, hamiltonian in model.hamiltonian_pairs:
-        suffix = str(hamiltonian)
-        lifted = lifts[vector, hamiltonian] = lift(
-            cone, vector, hamiltonian, samples=samples, seed=seed, tolerances=overrides,
-            verify=False,
-        )
-        for result in lift_checks(cone, lifted, samples, seed, overrides):
-            entries.append((f"{result.name}[{suffix}]", result))
-        _, contraction = cone_hamiltonian(cone, lifted, hamiltonian, samples, seed, overrides)
-        entries.append((f"{contraction.name}[{suffix}]", contraction))
-    if model.commuting_pairs:
-        family = [lifts[pair] for pair in model.commuting_pairs]
-        entries.append(
-            ("commuting_lifts", commuting_lift_check(cone, family, samples, seed, overrides))
-        )
-    return entries
+    """Every check of one model, labelled and sorted: the model's
+    :meth:`~contactkit.models.ModelDescriptor.verify_all` at the run's
+    samples, seed and tolerance overrides."""
+    return model.verify_all(config.samples, config.seed, config.overrides)
 
 
 #: One task on the task pipe: a model index.  A pipe holds at least one

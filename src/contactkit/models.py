@@ -3,8 +3,10 @@
 Each model family builds a :class:`~contactkit.contact.ContactSystem` on an
 explicit chart, together with a list of :class:`ExpectedFact` entries --
 named, independently known properties (closed-form Reeb fields, bracket
-relations, classification verdicts, cone lifts) that the numerical
-operations must reproduce at seeded samples.
+relations, classification verdicts) that the numerical operations must
+reproduce at seeded samples -- and its closed-form (field, Hamiltonian)
+pairs, which the battery lifts to the cone.  :meth:`ModelDescriptor.verify_all`
+is the model's whole battery, the one ``contactkit verify`` prints.
 
 Model keys are stable strings so the same systems are addressable from tests
 and from the command line:
@@ -69,6 +71,9 @@ SOURCE_CONSTRUCTION = "construction"
 #: The per-run tolerance overrides an expected fact passes to the operations.
 Tolerances = Mapping[str, float] | None
 
+#: The factor by which the battery's ``scale_covariance`` check rescales eta.
+_SCALE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class ExpectedFact:
@@ -93,8 +98,13 @@ class ModelDescriptor:
     ``hamiltonian_pairs`` lists closed-form pairs ``(field, eta(field))``
     suitable for symplectization lifts; ``commuting_pairs`` is the subset
     forming a commuting family (the witness for complete integrability).
-    Each commuting pair must also be in ``hamiltonian_pairs``: the battery
-    checks the commuting family with the lifts it made for those.
+    ``expected_lifts`` holds closed forms worked out by hand on the cone:
+    entries ``(pair, components, induced)`` give, for one of the
+    ``hamiltonian_pairs``, the components of its lift by cone coordinate
+    (sources such as ``{"r": "-r / 2"}``) and the source of the induced
+    Hamiltonian ``r^2 h``.  Each commuting pair and each pair of an expected
+    lift must also be in ``hamiltonian_pairs``: the battery checks them with
+    the lifts it made for those.
     """
 
     key: str
@@ -102,18 +112,94 @@ class ModelDescriptor:
     expected: tuple[ExpectedFact, ...]
     hamiltonian_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
     commuting_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
+    expected_lifts: tuple[
+        tuple[tuple[VectorField, ScalarExpr], Mapping[str, str], str], ...
+    ] = ()
     report_lines: Callable[[], tuple[str, ...]] | None = None
 
     def __post_init__(self):
-        for pair in self.commuting_pairs:
-            if pair not in self.hamiltonian_pairs:
-                raise ValueError(
-                    f"model {self.key!r}: commuting pair [{pair[1]}] is not one of its "
-                    "hamiltonian_pairs"
-                )
+        for kind, pairs in (
+            ("commuting pair", self.commuting_pairs),
+            ("expected lift", [pair for pair, _, _ in self.expected_lifts]),
+        ):
+            for pair in pairs:
+                if pair not in self.hamiltonian_pairs:
+                    raise ValueError(
+                        f"model {self.key!r}: {kind} [{pair[1]}] is not one of its "
+                        "hamiltonian_pairs"
+                    )
 
-    def verify_all(self, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-        return [fact.run(samples, seed) for fact in self.expected]
+    def verify_all(
+        self,
+        samples: int = DEFAULT_SAMPLES,
+        seed: int = DEFAULT_SEED,
+        tolerances: Tolerances = None,
+    ) -> list[tuple[str, CheckResult]]:
+        """Every check of the model, as ``(label, result)`` sorted by label:
+        the battery that ``contactkit verify`` prints.
+
+        The battery is the expected facts plus the symplectization
+        contracts: cone closure, nondegeneracy and homogeneity, scale
+        covariance at a fixed factor, and for every pair of
+        ``hamiltonian_pairs`` the lift invariances and the induced-Hamiltonian
+        contraction, labelled ``name[hamiltonian]``, with the commuting family
+        checked jointly as ``commuting_lifts``.  Where the model has
+        ``expected_lifts``, ``cone_lifts`` and ``cone_hamiltonians`` hold the
+        battery's lifts and induced Hamiltonians to them.  The battery builds
+        the cone once and lifts each pair once.  The cone checks run first,
+        and their cone is gone before the facts keep the system's geometry,
+        so the two sets of arrays are never held at once.  ``tolerances``
+        overrides the registry tolerances of every check.
+        """
+        entries = self._cone_entries(samples, seed, tolerances)
+        entries += [(fact.name, fact.run(samples, seed, tolerances)) for fact in self.expected]
+        entries.sort(key=lambda entry: entry[0])
+        return entries
+
+    def _cone_entries(
+        self, samples: int, seed: int, tolerances: Tolerances
+    ) -> list[tuple[str, CheckResult]]:
+        """The symplectization contracts of the battery, on one cone that
+        dies, with the cone geometry it keeps, when this returns."""
+        at = samples, seed, tolerances
+        cone = cone_mod.build_cone(self.system, verify=False)
+        results = [
+            cone_mod.closure_check(cone, *at),
+            cone_mod.nondegeneracy_check(cone, *at),
+            cone_mod.homogeneity_check(cone, *at),
+            cone_mod.scale_covariance_check(cone, _SCALE_FACTOR, *at),
+        ]
+        entries, lifts = [], {}
+        for pair in self.hamiltonian_pairs:
+            field, hamiltonian = pair
+            lifted = cone_mod.lift(cone, field, hamiltonian, *at, verify=False)
+            checks = cone_mod.lift_checks(cone, lifted, *at)
+            induced, contraction = cone_mod.cone_hamiltonian(cone, lifted, hamiltonian, *at)
+            entries += [(f"{check.name}[{hamiltonian}]", check) for check in (*checks, contraction)]
+            lifts[pair] = lifted, induced, contraction
+        if self.commuting_pairs:
+            family = [lifts[pair][0] for pair in self.commuting_pairs]
+            results.append(cone_mod.commuting_lift_check(cone, family, *at))
+        if self.expected_lifts:
+            # The battery's lifts and induced Hamiltonians against their closed forms.
+            pts = cone.cone_chart.sample(samples, seed)
+            lift_residuals = induced_residuals = np.zeros(len(pts))
+            for pair, components, induced_source in self.expected_lifts:
+                lifted, induced, contraction = lifts[pair]
+                target = vector_field(cone.cone_chart, components).evaluate(pts)
+                lift_residuals = np.maximum(
+                    lift_residuals, np.max(np.abs(lifted.evaluate(pts) - target), axis=1)
+                )
+                expected = parse(induced_source, cone.cone_chart.coords).values(pts)
+                induced_residuals = np.maximum(
+                    induced_residuals, np.abs(induced.values(pts) - expected)
+                )
+                induced_residuals = np.maximum(induced_residuals, contraction.max_residual)
+            lift_tol = resolve_tolerance("lift_invariance", tolerances)
+            induced_tol = resolve_tolerance("cone_contraction", tolerances)
+            results.append(_make_result("cone_lifts", lift_residuals, lift_tol, pts))
+            results.append(_make_result("cone_hamiltonians", induced_residuals, induced_tol, pts))
+        return entries + [(result.name, result) for result in results]
 
     def fact(self, name: str) -> ExpectedFact:
         for entry in self.expected:
@@ -469,7 +555,8 @@ def basic_example() -> ModelDescriptor:
     vertical dilation ``y d/dy + z d/dz``; their isotropy defect
     ``dEta(X_h, X_f)`` equals ``y`` (value 2 at (1, 2, 3)), and on the cone
     the two fields lift to ``d/dx`` and ``y d/dy + z d/dz - (r/2) d/dr`` with
-    induced Hamiltonians ``-r^2 y`` and ``r^2 z``.
+    induced Hamiltonians ``-r^2 y`` and ``r^2 z`` (the model's
+    ``expected_lifts``).
     """
     chart = Chart("example_3_10", ("x", "y", "z"))
     eta = one_form(chart, {"z": 1.0, "x": "-y"})
@@ -507,52 +594,6 @@ def basic_example() -> ModelDescriptor:
             "involution_pair", values, resolve_tolerance("involution", tolerances), pts
         )
 
-    def cone_lifts(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
-        cone = cone_mod.build_cone(system)
-        pts = cone.cone_chart.sample(samples, seed)
-        residuals = np.zeros(len(pts))
-        for base_field, hamiltonian, expected in (
-            (translation, h, {"x": "1"}),
-            (dilation, f, {"y": "y", "z": "z", "r": "-r / 2"}),
-        ):
-            lifted = cone_mod.lift(
-                cone, base_field, hamiltonian, samples, seed, tolerances, verify=False
-            )
-            target = vector_field(cone.cone_chart, expected)
-            residuals = np.maximum(
-                residuals,
-                np.max(np.abs(lifted.evaluate(pts) - target.evaluate(pts)), axis=1),
-            )
-        return _make_result(
-            "cone_lifts", residuals, resolve_tolerance("lift_invariance", tolerances), pts
-        )
-
-    def cone_hamiltonians(samples: int, seed: int, tolerances: Tolerances = None) -> CheckResult:
-        cone = cone_mod.build_cone(system)
-        pts = cone.cone_chart.sample(samples, seed)
-        residuals = np.zeros(len(pts))
-        for base_field, hamiltonian, expected_source in (
-            (translation, h, "-(r^2 * y)"),
-            (dilation, f, "r^2 * z"),
-        ):
-            lifted = cone_mod.lift(
-                cone, base_field, hamiltonian, samples, seed, tolerances, verify=False
-            )
-            induced, contraction = cone_mod.cone_hamiltonian(
-                cone, lifted, hamiltonian, samples, seed, tolerances
-            )
-            expected = parse(expected_source, cone.cone_chart.coords)
-            residuals = np.maximum(
-                residuals, np.abs(induced.values(pts) - expected.values(pts))
-            )
-            residuals = np.maximum(residuals, contraction.max_residual)
-        return _make_result(
-            "cone_hamiltonians",
-            residuals,
-            resolve_tolerance("cone_contraction", tolerances),
-            pts,
-        )
-
     facts = (
         _contact_fact(system),
         _reeb_defining_fact(system),
@@ -576,8 +617,6 @@ def basic_example() -> ModelDescriptor:
         ExpectedFact("isotropy_defect_matches", SOURCE_HAND, defect_is_y),
         ExpectedFact("involution_pair", SOURCE_HAND, involution_pair),
         _classification_fact(system, (True, True, False, False)),
-        ExpectedFact("cone_lifts", SOURCE_HAND, cone_lifts),
-        ExpectedFact("cone_hamiltonians", SOURCE_HAND, cone_hamiltonians),
     )
 
     def report_lines() -> tuple[str, ...]:
@@ -591,6 +630,10 @@ def basic_example() -> ModelDescriptor:
         expected=facts,
         hamiltonian_pairs=pairs,
         commuting_pairs=pairs,
+        expected_lifts=(
+            (pairs[0], {"x": "1"}, "-(r^2 * y)"),
+            (pairs[1], {"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+        ),
         report_lines=report_lines,
     )
 

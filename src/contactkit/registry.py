@@ -28,7 +28,6 @@ TOLERANCES: dict[str, float] = {
     "first_integral": 1e-9,
     "flow_identity": 1e-8,
     "isotropy_identity": 1e-8,
-    "bracket_antisymmetry": 1e-9,
     "involution": 1e-8,
     "conformal_law": 1e-7,
     "rank_svd": 1e-8,

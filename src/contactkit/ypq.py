@@ -53,12 +53,9 @@ __all__ = [
     "quotient_kahler_data",
     "classify",
     "totient",
-    "coprime_pairs",
     "class_table",
     "ypq_report",
-    "enumerate_structures",
     "format_dossier",
-    "format_class_table",
     "format_table",
 ]
 
@@ -334,16 +331,6 @@ def totient(m: int) -> int:
     return result
 
 
-def _coprime_qs(p: int) -> list[int]:
-    """Every ``1 <= q < p`` with ``gcd(p, q) = 1``, in increasing order."""
-    return [q for q in range(1, p) if math.gcd(p, q) == 1]
-
-
-def coprime_pairs(p_max: int) -> list[YpqParams]:
-    """All valid free-action parameter pairs with ``p <= p_max``."""
-    return [YpqParams(p, q) for p in range(2, p_max + 1) for q in _coprime_qs(p)]
-
-
 def class_table(p_max: int) -> dict[int, list[int]]:
     """The equivalence classes of every free member with ``p <= p_max`` as
     integers: class ``p`` maps to its ``q`` values in increasing order.
@@ -355,7 +342,7 @@ def class_table(p_max: int) -> dict[int, list[int]]:
         raise InvalidToricParameterError("enumeration needs p_max >= 2")
     table: dict[int, list[int]] = {}
     for p in range(2, p_max + 1):
-        qs = table[p] = _coprime_qs(p)
+        qs = table[p] = [q for q in range(1, p) if math.gcd(p, q) == 1]
         phi = totient(p)
         if len(qs) != phi:
             raise ArithmeticError(f"class p = {p} has {len(qs)} members, totient(p) = {phi}")
@@ -450,14 +437,6 @@ def ypq_report(params: YpqParams) -> YpqReport:
     )
 
 
-def enumerate_structures(p_max: int) -> dict[int, list[YpqParams]]:
-    """Every free member with ``p <= p_max``, grouped by the equivalence
-    class ``p``: :func:`class_table` with each ``q`` as ``YpqParams(p, q)``.
-    The dossier of one member is ``ypq_report(member)``.
-    """
-    return {p: [YpqParams(p, q) for q in qs] for p, qs in class_table(p_max).items()}
-
-
 # -- text rendering --------------------------------------------------------
 
 _DOSSIER_FIELDS = (
@@ -493,11 +472,6 @@ def format_dossier(report: YpqReport) -> str:
     for label, render in _DOSSIER_FIELDS:
         lines.append(f"  {label.ljust(width)}  {render(report)}")
     return "\n".join(lines)
-
-
-def format_class_table(classes: dict[int, list[YpqParams]]) -> str:
-    """Aligned class table: one line per equivalence class."""
-    return format_table({p: [m.q for m in members] for p, members in classes.items()})
 
 
 def format_table(table: dict[int, list[int]]) -> str:

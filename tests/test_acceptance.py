@@ -37,8 +37,8 @@ from contactkit.ypq import (
     YpqParams,
     circle_pairing_check,
     circle_weights,
+    class_table,
     classify,
-    coprime_pairs,
     hirzebruch_data,
     quotient_kahler_data,
     quotient_reeb_weights,
@@ -50,6 +50,11 @@ from contactkit.ypq import (
 )
 
 SEED = 20110615
+
+
+def free_members(p_max: int) -> list[YpqParams]:
+    """Every free member with ``p <= p_max``, class by class."""
+    return [YpqParams(p, q) for p, qs in class_table(p_max).items() for q in qs]
 
 
 class TestBasicExampleDossier:
@@ -283,7 +288,7 @@ class TestToricExactness:
 
     def test_sweep(self):
         start = time.perf_counter()
-        pairs = coprime_pairs(100)
+        pairs = free_members(100)
         # Sum of totient(p) over 2 <= p <= 100; the nominal figure of 3044
         # for this family size counts the empty p = 1 class as one entry.
         assert len(pairs) == 3043
@@ -310,12 +315,12 @@ class TestToricPositivity:
     circle on the level set, for every valid parameter pair."""
 
     def test_exact_minima_positive(self):
-        for params in coprime_pairs(100):
+        for params in free_members(100):
             assert vertex_minimum(params, reeb_weights(params)) > 0
             assert vertex_minimum(params, quotient_reeb_weights(params)) > 0
 
     def test_circle_vanishes_on_level_set(self):
-        for params in coprime_pairs(100):
+        for params in free_members(100):
             result = circle_pairing_check(params, count=128, seed=SEED)
             assert result.passed
             assert result.max_residual < 1e-12
@@ -356,7 +361,7 @@ class TestEnumerationCli:
         assert sizes[30] == 8
 
     def test_classification_matches_p_equality(self):
-        pairs = coprime_pairs(30)
+        pairs = free_members(30)
         rng = seeded_rng(SEED, "acceptance:classify")
         for _ in range(50):
             a = pairs[int(rng.integers(len(pairs)))]

@@ -645,6 +645,14 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_unregistered_tolerance_name_exits_usage(self, capsys):
+        # no check reads "bracket_antisymmetry", so it is not a tolerance name
+        code, out, err = run_cli(
+            capsys, "verify", "heisenberg(1)", "--tol", "bracket_antisymmetry=5"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unknown tolerance 'bracket_antisymmetry'" in err
+
 
 def _no_child_left():
     """True when this process has no child, running or unreaped."""

@@ -483,11 +483,10 @@ class TestKeptConeAndLifts:
         assert preconditions == [str(h) for _, h in model.hamiltonian_pairs]
 
     def test_every_lift_checks_its_precondition_at_the_battery_samples(self, monkeypatch):
-        # example_3_10's own cone facts lift too; each lift must check the
-        # precondition at the battery's samples and seed, not its defaults
+        # example_3_10's closed-form cone lifts are checked against the
+        # battery's own lifts: each pair is lifted once, and its precondition
+        # is checked at the battery's samples and seed, not the defaults
         import inspect
-
-        from contactkit import commands as commands_module
 
         received = []
         signature = inspect.signature(lift)
@@ -499,12 +498,25 @@ class TestKeptConeAndLifts:
             return lift(*args, **kwargs)
 
         monkeypatch.setattr(cone_module, "lift", recording)
-        monkeypatch.setattr(commands_module, "lift", recording)
         model = build_model("example_3_10")
         entries = model_battery(model, RunConfig(samples=128, seed=SEED))
         assert all(result.passed for _, result in entries)
-        assert len(received) > 2 * len(model.hamiltonian_pairs)
-        assert set(received) == {(128, SEED)}
+        assert received == [(128, SEED)] * len(model.hamiltonian_pairs)
+
+    def test_example_battery_builds_its_cone_once(self, monkeypatch):
+        # its own cone and the rescaled one of scale_covariance; the closed
+        # forms are checked on the battery's cone, not on cones of their own
+        calls = []
+        for name in ("build_cone", "closure_check", "nondegeneracy_check"):
+
+            def counted(*args, _original=getattr(cone_module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cone_module, name, counted)
+        entries = model_battery(build_model("example_3_10"), RunConfig(samples=128, seed=SEED))
+        assert {"cone_lifts", "cone_hamiltonians"} <= {label for label, _ in entries}
+        assert sorted(calls) == ["build_cone", "build_cone", "closure_check", "nondegeneracy_check"]
 
     def test_foreign_commuting_pair_is_rejected(self):
         model = build_model("heisenberg(1)")
@@ -533,8 +545,6 @@ class TestKeptConeAndLifts:
 
     def test_cone_checks_run_before_the_system_keeps_its_geometry(self, monkeypatch):
         # the cone's arrays and the facts' base geometry are never held at once
-        from contactkit import commands as commands_module
-
         model = build_model("sphere_weighted(3,2,4,3,3)")
         seen = []
         for name in (
@@ -547,11 +557,11 @@ class TestKeptConeAndLifts:
             "commuting_lift_check",
         ):
 
-            def watched(*args, _check=getattr(commands_module, name), _name=name, **kwargs):
+            def watched(*args, _check=getattr(cone_module, name), _name=name, **kwargs):
                 seen.append((_name, model.system._geometry is None))
                 return _check(*args, **kwargs)
 
-            monkeypatch.setattr(commands_module, name, watched)
+            monkeypatch.setattr(cone_module, name, watched)
         entries = model_battery(model, RunConfig(samples=128, seed=SEED))
         assert all(result.passed for _, result in entries)
         assert len(seen) == 4 + 2 * len(model.hamiltonian_pairs) + bool(model.commuting_pairs)

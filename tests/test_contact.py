@@ -1380,22 +1380,42 @@ class TestToleranceRegistry:
                 return {key.value for key in node.value.keys}
         raise AssertionError("no TOLERANCES literal in registry.py")
 
-    def test_every_resolved_name_is_in_the_literal(self):
-        keys = self._literal_keys()
-        assert keys == set(TOLERANCES)
-        resolved = set()
-        for path in self.SOURCES:
+    @classmethod
+    def _read_names(cls) -> set[tuple[str, str]]:
+        """``(file, name)`` for every name a module reads as a literal, by
+        ``resolve_tolerance("name")`` or ``TOLERANCES["name"]``."""
+        read = set()
+        for path in cls.SOURCES:
             for node in ast.walk(ast.parse(path.read_text())):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "resolve_tolerance"
                     and node.args
-                    and isinstance(node.args[0], ast.Constant)
                 ):
-                    resolved.add((path.name, node.args[0].value))
+                    name = node.args[0]
+                elif (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "TOLERANCES"
+                ):
+                    name = node.slice
+                else:
+                    continue
+                if isinstance(name, ast.Constant):
+                    read.add((path.name, name.value))
+        return read
+
+    def test_every_resolved_name_is_in_the_literal(self):
+        keys = self._literal_keys()
+        assert keys == set(TOLERANCES)
+        resolved = self._read_names()
         assert {"cone_closure", "level_set", "goodness"} <= {name for _, name in resolved}
         assert {(f, name) for f, name in resolved if name not in keys} == set()
+
+    def test_every_literal_key_is_read(self):
+        # an entry no check reads would be a --tol name that changes nothing
+        assert self._literal_keys() - {name for _, name in self._read_names()} == set()
 
     def test_no_module_mutates_the_registry(self):
         for path in self.SOURCES:

@@ -1,5 +1,9 @@
 """Model library: key dispatch, expected facts, closed-form pair consistency."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,10 +63,10 @@ class TestExpectedFacts:
     @pytest.mark.parametrize("key", default_model_keys())
     def test_all_facts_pass_at_128_samples(self, key):
         descriptor = build_model(key)
-        results = descriptor.verify_all(samples=128, seed=SEED)
-        assert results, "model publishes no facts"
-        for result in results:
-            assert result.passed, f"{key}: {result}"
+        entries = descriptor.verify_all(samples=128, seed=SEED)
+        assert entries, "model publishes no facts"
+        for label, result in entries:
+            assert result.passed, f"{key} {label}: {result}"
 
     def test_facts_carry_provenance_tags(self):
         for key in default_model_keys():
@@ -74,6 +78,58 @@ class TestExpectedFacts:
         assert descriptor.fact("contact_condition").name == "contact_condition"
         with pytest.raises(KeyError):
             descriptor.fact("nonexistent")
+
+
+# -- the battery ------------------------------------------------------------
+
+
+class TestBattery:
+    """``verify_all`` is the battery that ``contactkit verify`` prints."""
+
+    EXPECTED_CHECKS = Path(__file__).parents[1] / "perfbench" / "expected_checks.json"
+
+    @pytest.mark.parametrize("key", default_model_keys())
+    def test_labels_are_the_verify_labels(self, key):
+        expected = json.loads(self.EXPECTED_CHECKS.read_text())[key]
+        assert [label for label, _ in build_model(key).verify_all(16, SEED)] == expected
+
+    def test_tolerance_overrides_reach_the_cone_phase(self):
+        entries = build_model("example_3_10").verify_all(16, SEED, {"lift_invariance": 0.25})
+        tolerances = {label: result.tolerance for label, result in entries}
+        assert tolerances["cone_lifts"] == 0.25
+        assert {tolerances[f"lift_invariance[{h}]"] for h in ("-y", "z")} == {0.25}
+
+    @staticmethod
+    def _with_lifts(model, translation, dilation):
+        translation_pair, dilation_pair = model.hamiltonian_pairs
+        return replace(
+            model,
+            expected_lifts=((translation_pair, *translation), (dilation_pair, *dilation)),
+        )
+
+    def test_wrong_closed_form_lift_fails_cone_lifts(self):
+        model = self._with_lifts(
+            basic_example(),
+            ({"x": "2"}, "-(r^2 * y)"),
+            ({"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+        )
+        verdicts = {label: result.passed for label, result in model.verify_all(16, SEED)}
+        assert (verdicts["cone_lifts"], verdicts["cone_hamiltonians"]) == (False, True)
+
+    def test_wrong_induced_hamiltonian_fails_cone_hamiltonians(self):
+        model = self._with_lifts(
+            basic_example(),
+            ({"x": "1"}, "r^2 * y"),
+            ({"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+        )
+        verdicts = {label: result.passed for label, result in model.verify_all(16, SEED)}
+        assert (verdicts["cone_lifts"], verdicts["cone_hamiltonians"]) == (True, False)
+
+    def test_foreign_expected_lift_is_rejected(self):
+        model = build_model("heisenberg(1)")
+        foreign = (model.system.reeb, model.system.chart.parse("1"))
+        with pytest.raises(ValueError, match="expected lift .* not one of its hamiltonian_pairs"):
+            replace(model, expected_lifts=((foreign, {}, "r^2"),))
 
 
 # -- closed-form pair data -------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contactkit import ypq as ypq_module
+from contactkit.cli import main
 from contactkit.ypq import (
     TOTIENT_MAX,
     InvalidToricParameterError,
@@ -18,9 +19,6 @@ from contactkit.ypq import (
     class_table,
     classify,
     contact_pairing,
-    coprime_pairs,
-    enumerate_structures,
-    format_class_table,
     format_dossier,
     format_table,
     hirzebruch_data,
@@ -44,7 +42,7 @@ from contactkit.ypq import (
 
 SEED = 20110615
 
-ALL_PAIRS = coprime_pairs(100)
+ALL_PAIRS = [YpqParams(p, q) for p, qs in class_table(100).items() for q in qs]
 
 
 class TestParams:
@@ -330,12 +328,11 @@ class TestEnumeration:
         assert len(ALL_PAIRS) == sum(totient(p) for p in range(2, 101))
 
     def test_enumerate_small(self):
-        classes = enumerate_structures(6)
-        assert sorted(classes) == [2, 3, 4, 5, 6]
-        assert [len(classes[p]) for p in sorted(classes)] == [1, 2, 2, 4, 2]
-        assert [r.q for r in classes[6]] == [1, 5]
-        for p, members in classes.items():
-            assert len(members) == totient(p)
+        table = class_table(6)
+        assert sorted(table) == [2, 3, 4, 5, 6]
+        assert [len(table[p]) for p in sorted(table)] == [1, 2, 2, 4, 2]
+        for p, qs in table.items():
+            assert len(qs) == totient(p)
 
     def test_enumerate_builds_no_dossiers(self, monkeypatch):
         totient_calls = []
@@ -350,9 +347,9 @@ class TestEnumeration:
 
         monkeypatch.setattr(ypq_module, "totient", counted_totient)
         monkeypatch.setattr(ypq_module, "ypq_report", no_report)
-        classes = enumerate_structures(60)
+        table = class_table(60)
         assert sorted(totient_calls) == list(range(2, 61))
-        assert all(type(m) is YpqParams for members in classes.values() for m in members)
+        assert all(type(q) is int for qs in table.values() for q in qs)
 
     def test_enumerate_rejects_wrong_class_size(self, monkeypatch):
         real_totient = ypq_module.totient
@@ -360,12 +357,8 @@ class TestEnumeration:
             ypq_module, "totient", lambda m: real_totient(m) + 1 if m == 12 else real_totient(m)
         )
         with pytest.raises(ArithmeticError, match=r"p = 12 has 4 members, totient\(p\) = 5"):
-            enumerate_structures(20)
-        enumerate_structures(11)
-
-    def test_enumerate_rejects_trivial_bound(self):
-        with pytest.raises(InvalidToricParameterError):
-            enumerate_structures(1)
+            class_table(20)
+        class_table(11)
 
     def test_class_table_small(self):
         assert class_table(6) == {2: [1], 3: [1, 2], 4: [1, 3], 5: [1, 2, 3, 4], 6: [1, 5]}
@@ -383,18 +376,10 @@ class TestEnumeration:
             class_table(7)
 
     @pytest.mark.parametrize("p_max", range(2, 61))
-    def test_enumerate_wraps_the_class_table(self, p_max):
-        wrapped = {p: [YpqParams(p, q) for q in qs] for p, qs in class_table(p_max).items()}
-        assert enumerate_structures(p_max) == wrapped
-        assert format_class_table(wrapped) == format_table(class_table(p_max))
-
-    @pytest.mark.parametrize("p_max", [2, 100])
-    def test_coprime_pairs_flatten_the_class_table(self, p_max):
-        flat = [YpqParams(p, q) for p, qs in class_table(p_max).items() for q in qs]
-        assert coprime_pairs(p_max) == flat
-
-    def test_coprime_pairs_empty_below_two(self):
-        assert coprime_pairs(1) == []
+    def test_enumerate_wraps_the_class_table(self, capsys, p_max):
+        # ``ypq --enumerate`` prints the text of the class table, and no more
+        assert main(["ypq", "--enumerate", str(p_max)]) == 0
+        assert capsys.readouterr() == (format_table(class_table(p_max)) + "\n", "")
 
 
 class TestReport:
@@ -450,7 +435,7 @@ class TestReport:
         assert "3/4" in text
 
     def test_format_class_table(self):
-        text = format_class_table(enumerate_structures(6))
+        text = format_table(class_table(6))
         lines = text.splitlines()
         assert len(lines) == 5
         assert lines[0] == "p = 2  class size 1  (2,1)"
@@ -458,4 +443,4 @@ class TestReport:
         assert "(6,1) (6,5)" in lines[4]
 
     def test_format_empty_class_table(self):
-        assert format_class_table({}) == ""
+        assert format_table({}) == ""
