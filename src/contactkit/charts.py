@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import ScalarExpr, _as_batch, _values_of, const
+from .expressions import ScalarExpr, _as_batch, _gradients_of, _values_of, const
 
 __all__ = [
     "Chart",
@@ -196,10 +196,10 @@ class VectorField:
         return self.evaluate(points)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """J[n, i, k] = d_k X^i, from exact jets (``(dim, dim)`` for a single
-        point)."""
+        """J[n, i, k] = d_k X^i, from one exact order-1 tape (``(dim, dim)``
+        for a single point)."""
         pts, single = _as_batch(points, self.chart.dim)
-        J = np.stack([c.jets(pts)[1] for c in self.components], axis=1)
+        J = np.stack(_gradients_of(self.components, pts), axis=1)
         return J[0] if single else J
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -222,7 +222,11 @@ class VectorField:
 
 @dataclass(frozen=True)
 class DifferentialForm:
-    """Sparse exterior form of degree 0..3 with expression coefficients."""
+    """Sparse exterior form of degree 0..3 with expression coefficients.
+
+    Forms compare by chart, degree and coefficient mapping, and hash alike,
+    so equal forms hash equal; the mapping is never changed after
+    construction."""
 
     chart: Chart
     degree: int
@@ -236,6 +240,9 @@ class DifferentialForm:
         for key in self.coefficients:
             if len(key) != self.degree or list(key) != sorted(set(key)):
                 raise ValueError(f"index tuple {key} not strictly increasing")
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.degree, frozenset(self.coefficients.items())))
 
     def coefficient(self, key: tuple[int, ...]) -> ScalarExpr:
         expr = self.coefficients.get(tuple(key))

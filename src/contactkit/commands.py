@@ -46,7 +46,7 @@ from .cli import (
     _write_error,
 )
 from .contact import CheckResult, ContactSystem, GeometricError, hamiltonian_field, jacobi_bracket
-from .expressions import ExprError, ScalarExpr, const, parse
+from .expressions import ExprError, ScalarExpr, _gradients_of, const, parse
 from .models import ModelDescriptor, build_model, default_model_keys
 from .ypq import YpqParams, format_dossier, is_free, ypq_report
 from .ypq_checks import circle_pairing_check, homogeneous_coordinate_check, reeb_positivity
@@ -377,10 +377,11 @@ def cmd_bracket(args: argparse.Namespace, config: RunConfig, stream) -> int:
     point = _parse_point(args.point, chart.dim)
     point_text = ", ".join(f"{v:g}" for v in point)
     # The bracket needs the jets of f and g at the point; check them first
-    # so that an undefined value is reported against its own argument.
+    # so that an undefined value is reported against its own argument.  A
+    # gradient raises every domain error that a Hessian does.
     for what, expr in (("f", f), ("g", g)):
         try:
-            expr.jets(point)
+            _gradients_of((expr,), point)
         except ExprError as exc:
             raise UsageError(f"{what} is undefined at ({point_text}): {exc}") from None
     try:

@@ -36,7 +36,17 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .charts import Chart, ChartMismatchError, DifferentialForm, VectorField, one_form
-from .expressions import EvalDomainError, ScalarExpr, _as_batch, _jets_of, _values_of, const, parse
+from .expressions import (
+    EvalDomainError,
+    ScalarExpr,
+    _as_batch,
+    _curved,
+    _gradients_of,
+    _jets_of,
+    _values_of,
+    const,
+    parse,
+)
 from .registry import DEFAULT_SAMPLES, DEFAULT_SEED, TOLERANCES, resolve_tolerance
 
 __all__ = [
@@ -330,9 +340,11 @@ class _Geometry:
     -E], [E^T, 0]]`` of the field system, built here and nowhere else.  The
     contact verdict and the guard of ``inverse`` (the pointwise ``M^-1``,
     computed on first use) read one Hadamard ratio, the first of ``hadamard
-    = _hadamard(M)``.  eta's Hessians are not kept: ``curved`` records
-    whether any coefficient has one that is not structurally zero, and a
-    solve that asks for Jacobians jets eta's coefficients again for them.
+    = _hadamard(M)``.  ``E`` and ``dE`` come from one order-1 tape of eta's
+    coefficients, which forms no Hessian.  ``curved`` records whether any
+    coefficient has a Hessian that is not structurally zero, read from the
+    expressions (:func:`expressions._curved`) without a tape; only a solve
+    that asks for Jacobians forms eta's Hessians, on a tape of its own.
     ``solved`` and the pointwise quantities below read these arrays and keep
     nothing of the expressions they are given.
 
@@ -347,17 +359,14 @@ class _Geometry:
         dE = np.zeros((n, d, d))
         coefficients = tuple(system.eta.coefficients.values())
         columns = tuple(k for (k,) in system.eta.coefficients)
-        curved = False
 
         def take(r, v, g, h):
-            nonlocal curved
             k = columns[r]
             E[:, k] = v
             if g is not None:
                 dE[:, :, k] = g
-            curved = curved or h is not None
 
-        _jets_of(coefficients, pts, take)
+        _jets_of(coefficients, pts, take, order=1)
         D = dE - np.swapaxes(dE, 1, 2)
         _require_finite("eta or d(eta)", pts, E, D)
         M = np.zeros((n, d + 1, d + 1))
@@ -371,7 +380,7 @@ class _Geometry:
         self.M = M
         self.hadamard = _hadamard(M)
         _read_only(self.points, E, dE, D, M, *self.hadamard)
-        self.curved = curved
+        self.curved = _curved(coefficients)
         self._eta = coefficients, columns  # jetted again for the Hessians
         self._inverse: np.ndarray | None = None
 
@@ -406,7 +415,8 @@ class _Geometry:
         ``h``, ``M [X; a] = [-dh; h]`` gives ``X`` and its Reeb derivative
         ``a = R h``; with ``jacobians``, ``M d[X; a] = [-d^2 h; dh] - T`` gives
         the Jacobian ``dX``, else ``dX`` is ``None``.  ``T[r, k] = d_k M[r, i]
-        Y_i`` with ``Y = [X; a]`` (see :meth:`_jacobian_terms`).  The tape
+        Y_i`` with ``Y = [X; a]`` (see :meth:`_jacobian_terms`).  The tape,
+        of order 2 with ``jacobians`` and of order 1 (no Hessian) without,
         writes each function's value, gradient and Hessian straight into its
         right-hand sides ``b`` and ``db``; a structurally zero gradient or
         Hessian is written as the negated zeros ``-0.0``.  The functions'
@@ -436,7 +446,7 @@ class _Geometry:
                     np.negative(np.swapaxes(h, 1, 2), out=db[:, :d, :])
             rhs[r] = b, grad, db
 
-        _jets_of(exprs, self.points, take)
+        _jets_of(exprs, self.points, take, order=2 if jacobians else 1)
         with np.errstate(all="ignore"):
             inverse = self.inverse()
             Ys = [(inverse @ b[:, :, None])[:, :, 0] for b, _, _ in rhs]
@@ -721,7 +731,7 @@ def is_first_integral(
     _require_on_chart(system.chart, "function", h, f)
     pts = system.chart.sample(samples, seed)
     (sh,) = _shared_geometry(system, pts).solved(h)
-    _, f_grad, _ = f.jets(pts)
+    (f_grad,) = _gradients_of((f,), pts)
     residuals = np.abs(np.einsum("ni,ni->n", sh.X, f_grad))
     tol = resolve_tolerance("first_integral", tolerances)
     detail = {"hamiltonian": str(h), "integral": str(f)}

@@ -29,12 +29,12 @@ nodes of an expression, not the nodes of the tree it writes out to
 Values and jets are computed by one tape.  A single iterative compile of one
 or more roots lists their distinct nodes in topological order, with each
 node's operand steps and its last reader.  One loop over it computes each
-distinct node's value, and its gradient and Hessian when derivatives are
-asked for, once, with the arithmetic and domain checks of a recursive walk;
-it drops each array after its last reader and hands out each root's result
-as soon as it is computed.  Symbolic differentiation and printing walk the
-DAG with explicit stacks too, so no expression is too deep to evaluate, jet,
-differentiate or print.
+distinct node's value, and up to the order asked for its gradient (order
+1) and Hessian (order 2), once, with the arithmetic and domain checks of a
+recursive walk; it drops each array after its last reader and hands out
+each root's result as soon as it is computed.  Symbolic differentiation and
+printing walk the DAG with explicit stacks too, so no expression is too deep
+to evaluate, jet, differentiate or print.
 """
 
 from __future__ import annotations
@@ -690,30 +690,34 @@ def _jets_of(
     exprs: Sequence[ScalarExpr],
     points: np.ndarray,
     take: Callable[..., None],
-    derivatives: bool = True,
+    order: int = 2,
 ) -> None:
-    """The values, and with ``derivatives`` the jets, of several expressions
-    over one chart at a batch of ``points`` of shape (n, dim), from one tape.
+    """The values, gradients and Hessians, up to derivative ``order`` 0, 1
+    or 2, of several expressions over one chart at a batch of ``points`` of
+    shape (n, dim), from one tape.
 
     Each distinct node's value, gradient and Hessian are computed once from
     its operands' with a recursive walk's arithmetic, term for term, and
     domain checks; ``None`` stands for an identically zero gradient or
-    Hessian, and a constant's value stays a scalar.  Without
-    ``derivatives`` every gradient and Hessian is ``None``, nothing of them
-    is computed, and sqrt at 0 does not raise.  The two orders divide as
-    their recursive walks do: values by ``a / b``, jets by ``a * (1 / b)``.
-    The tape lays gradients and Hessians out point-last, as (dim, n) and
-    (dim, dim, n).  As soon as it has computed ``exprs[r]`` it calls
-    ``take(r, v, g, h)`` with ``g`` of shape (n, dim) and ``h`` of shape
-    (n, dim, dim), point first: the transposed views ``g.T`` and
-    ``h.transpose(2, 0, 1)`` of its own arrays.  ``take`` must copy what it
-    keeps: the arrays may be shared or views of ``points``.  Afterwards, as
-    for every step, the tape keeps the arrays only until the last step that
-    reads them.  An overflow gives ``inf`` or ``nan`` without a numpy
-    warning, in ``take`` too.
+    Hessian, and a constant's value stays a scalar.  Order 1 gives the
+    values and gradients of order 2 bit for bit, but every Hessian is
+    ``None`` and none is formed; order 0 gives the values alone, and sqrt at
+    0 does not raise.  Order 0 divides as a recursive walk of values does,
+    by ``a / b``; orders 1 and 2 as a walk of jets does, by ``a * (1 / b)``.
+    Whether an order-2 Hessian is ``None`` follows from the expression's
+    structure alone (see :func:`_curved`).  The tape lays gradients and
+    Hessians out point-last, as (dim, n) and (dim, dim, n).  As soon as it
+    has computed ``exprs[r]`` it calls ``take(r, v, g, h)`` with ``g`` of
+    shape (n, dim) and ``h`` of shape (n, dim, dim), point first: the
+    transposed views ``g.T`` and ``h.transpose(2, 0, 1)`` of its own
+    arrays.  ``take`` must copy what it keeps: the arrays may be shared or
+    views of ``points``.  Afterwards, as for every step, the tape keeps the
+    arrays only until the last step that reads them.  An overflow gives
+    ``inf`` or ``nan`` without a numpy warning, in ``take`` too.
     """
     if not exprs:
         return
+    derivatives, hessians = order > 0, order > 1
     nodes, arg_a, arg_b, last, steps = _compile([e._root for e in exprs])
     due = sorted(zip(steps, range(len(steps))))
     due.append((-1, -1))
@@ -736,25 +740,32 @@ def _jets_of(
                 ga, gb = G[a], G[b]
                 if ga is None:
                     g = None if gb is None else va * gb
-                    h = None if H[b] is None else va * H[b]
+                    if hessians:
+                        h = None if H[b] is None else va * H[b]
                 elif gb is None:
                     g = vb * ga
-                    h = None if H[a] is None else vb * H[a]
+                    if hessians:
+                        h = None if H[a] is None else vb * H[a]
                 else:
-                    ha, hb = H[a], H[b]
                     g = va * gb + vb * ga
-                    h = None if hb is None else va * hb
-                    if ha is not None:
-                        h = vb * ha if h is None else h + vb * ha
-                    h = _outer_sym(ga, gb) if h is None else h + _outer_sym(ga, gb)
+                    if hessians:
+                        ha, hb = H[a], H[b]
+                        h = None if hb is None else va * hb
+                        if ha is not None:
+                            h = vb * ha if h is None else h + vb * ha
+                        h = _outer_sym(ga, gb) if h is None else h + _outer_sym(ga, gb)
         elif t is _Add:
             v = V[a] + V[b]
             if derivatives:
-                g, h = _gadd(G[a], G[b]), _gadd(H[a], H[b])
+                g = _gadd(G[a], G[b])
+                if hessians:
+                    h = _gadd(H[a], H[b])
         elif t is _Sub:
             v = V[a] - V[b]
             if derivatives:
-                g, h = _gsub(G[a], G[b]), _gsub(H[a], H[b])
+                g = _gsub(G[a], G[b])
+                if hessians:
+                    h = _gsub(H[a], H[b])
         elif t is _Coord:
             v = points[:, node.i]
             if derivatives:
@@ -765,21 +776,23 @@ def _jets_of(
         elif t is _Neg:
             v = -V[a]
             if derivatives:
-                g, h = _gscale(-1.0, G[a]), _gscale(-1.0, H[a])
+                g = _gscale(-1.0, G[a])
+                if hessians:
+                    h = _gscale(-1.0, H[a])
         elif t is _Div:
             va, vb = V[a], V[b]
             if np.any(vb == 0.0):
                 raise EvalDomainError("division by zero during evaluation")
             if derivatives:
-                gb, hb = G[b], H[b]
+                gb, ga = G[b], G[a]
                 u = 1.0 / vb
                 u2 = u * u
                 gu = _gscale(-u2, gb)
-                hu = _gadd(_gscale(-u2, hb), _gscale(2.0 * u2 * u, _outer_self(gb)))
-                ga, ha = G[a], H[a]
                 v = va * u
                 g = _gadd(_gscale(va, gu), _gscale(u, ga))
-                h = _gadd(_gadd(_gscale(va, hu), _gscale(u, ha)), _outer_sym(ga, gu))
+                if hessians:
+                    hu = _gadd(_gscale(-u2, H[b]), _gscale(2.0 * u2 * u, _outer_self(gb)))
+                    h = _gadd(_gadd(_gscale(va, hu), _gscale(u, H[a])), _outer_sym(ga, gu))
             else:
                 v = va / vb
         else:
@@ -797,22 +810,23 @@ def _jets_of(
                     ga = G[a]
                     d1 = _power_term(e, va, e - 1)
                     g = _gscale(d1, ga)
-                    h = _gadd(
-                        _gscale(d1, H[a]),
-                        _gscale(_power_term(e * (e - 1), va, e - 2), _outer_self(ga)),
-                    )
+                    if hessians:
+                        h = _gadd(
+                            _gscale(d1, H[a]),
+                            _gscale(_power_term(e * (e - 1), va, e - 2), _outer_self(ga)),
+                        )
             else:
                 fn = node.fn
                 if fn == "sin":
                     v = np.sin(va)
                     if derivatives:
-                        d1, d2 = np.cos(va), -v
+                        d1 = np.cos(va)
                 elif fn == "cos":
                     v = np.cos(va)
                     if derivatives:
-                        d1, d2 = -np.sin(va), -v
+                        d1 = -np.sin(va)
                 elif fn == "exp":
-                    v = d1 = d2 = np.exp(va)
+                    v = d1 = np.exp(va)
                 else:  # sqrt
                     if np.any(va < 0.0):
                         raise EvalDomainError("sqrt of negative value")
@@ -821,11 +835,17 @@ def _jets_of(
                     v = np.sqrt(va)
                     if derivatives:
                         d1 = 0.5 / v
-                        d2 = -0.25 / (va * v)
                 if derivatives:
                     ga = G[a]
                     g = _gscale(d1, ga)
-                    h = _gadd(_gscale(d1, H[a]), _gscale(d2, _outer_self(ga)))
+                    if hessians:
+                        if fn == "exp":
+                            d2 = v
+                        elif fn == "sqrt":
+                            d2 = -0.25 / (va * v)
+                        else:
+                            d2 = -v
+                        h = _gadd(_gscale(d1, H[a]), _gscale(d2, _outer_self(ga)))
         if due[i][0] == k:
             gt = None if g is None else g.T
             ht = None if h is None else h.transpose(2, 0, 1)
@@ -840,6 +860,33 @@ def _jets_of(
             V[a] = G[a] = H[a] = None
         if b >= 0 and last[b] == k:
             V[b] = G[b] = H[b] = None
+
+
+def _curved(exprs: Sequence[ScalarExpr]) -> bool:
+    """Whether an order-2 tape of ``exprs`` gives some root a Hessian, not
+    ``None``, read from their structure by the tape's own rules: a node
+    has a gradient exactly when it is non-constant (a coordinate lies below
+    it), constants and coordinates have no Hessian, ``+``, ``-`` and
+    negation have one when an operand has, a product when both factors are
+    non-constant or else when its non-constant factor has, a quotient when
+    the divisor is non-constant or else when the dividend has, and a power
+    or function call when its operand is non-constant."""
+    nodes, arg_a, arg_b, _, steps = _compile([e._root for e in exprs])
+    curved = [False] * (len(nodes) + 1)  # a missing operand, -1, reads the last False
+    for k, node in enumerate(nodes):
+        t = type(node)
+        if t is _Const or t is _Coord:
+            continue
+        a, b = arg_a[k], arg_b[k]
+        if t is _Pow or t is _Call:
+            curved[k] = node.a.mask != 0
+        elif t is _Div:
+            curved[k] = node.b.mask != 0 or curved[a]
+        elif t is _Mul:
+            curved[k] = (node.a.mask != 0 and node.b.mask != 0) or curved[a] or curved[b]
+        else:  # +, - and negation
+            curved[k] = curved[a] or curved[b]
+    return any(curved[k] for k in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,8 +1221,24 @@ def _values_of(exprs: Sequence[ScalarExpr], points: np.ndarray) -> list[np.ndarr
     def take(r, v, g, h):
         values[r] = np.full(n, v)
 
-    _jets_of(exprs, pts, take, derivatives=False)
+    _jets_of(exprs, pts, take, order=0)
     return values
+
+
+def _gradients_of(exprs: Sequence[ScalarExpr], points: np.ndarray) -> list[np.ndarray]:
+    """Gradients of several expressions over one chart at a batch of points,
+    shape (n, dim) each, from one shared order-1 tape; every array is a
+    fresh copy, with the bits of :meth:`ScalarExpr.jets`' gradients."""
+    if not exprs:
+        return []
+    pts = _as_batch(points, len(exprs[0].coords))[0]
+    gradients: list = [None] * len(exprs)
+
+    def take(r, v, g, h):
+        gradients[r] = np.zeros(pts.shape) if g is None else g.copy()
+
+    _jets_of(exprs, pts, take, order=1)
+    return gradients
 
 
 def parse(source: str, coords: Sequence[str]) -> ScalarExpr:

@@ -100,8 +100,9 @@ class ModelDescriptor:
     forming a commuting family (the witness for complete integrability).
     ``expected_lifts`` holds closed forms worked out by hand on the cone:
     entries ``(pair, components, induced)`` give, for one of the
-    ``hamiltonian_pairs``, the components of its lift by cone coordinate
-    (sources such as ``{"r": "-r / 2"}``) and the source of the induced
+    ``hamiltonian_pairs``, the components of its lift as ``(cone coordinate,
+    source)`` pairs (such as ``(("r", "-r / 2"),)``, so that a descriptor
+    hashes) and the source of the induced
     Hamiltonian ``r^2 h``.  Each commuting pair and each pair of an expected
     lift must also be in ``hamiltonian_pairs``: the battery checks them with
     the lifts it made for those.
@@ -113,7 +114,7 @@ class ModelDescriptor:
     hamiltonian_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
     commuting_pairs: tuple[tuple[VectorField, ScalarExpr], ...] = ()
     expected_lifts: tuple[
-        tuple[tuple[VectorField, ScalarExpr], Mapping[str, str], str], ...
+        tuple[tuple[VectorField, ScalarExpr], tuple[tuple[str, str], ...], str], ...
     ] = ()
     report_lines: Callable[[], tuple[str, ...]] | None = None
 
@@ -186,7 +187,7 @@ class ModelDescriptor:
             lift_residuals = induced_residuals = np.zeros(len(pts))
             for pair, components, induced_source in self.expected_lifts:
                 lifted, induced, contraction = lifts[pair]
-                target = vector_field(cone.cone_chart, components).evaluate(pts)
+                target = vector_field(cone.cone_chart, dict(components)).evaluate(pts)
                 lift_residuals = np.maximum(
                     lift_residuals, np.max(np.abs(lifted.evaluate(pts) - target), axis=1)
                 )
@@ -631,8 +632,8 @@ def basic_example() -> ModelDescriptor:
         hamiltonian_pairs=pairs,
         commuting_pairs=pairs,
         expected_lifts=(
-            (pairs[0], {"x": "1"}, "-(r^2 * y)"),
-            (pairs[1], {"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+            (pairs[0], (("x", "1"),), "-(r^2 * y)"),
+            (pairs[1], (("y", "y"), ("z", "z"), ("r", "-r / 2")), "r^2 * z"),
         ),
         report_lines=report_lines,
     )

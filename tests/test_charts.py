@@ -19,7 +19,10 @@ from contactkit.charts import (
     wedge,
     zero_form,
 )
+from contactkit.cone import build_cone
+from contactkit.contact import is_contact_form
 from contactkit.expressions import parse
+from contactkit.models import build_model, default_model_keys
 
 R3 = Chart("r3", ("x", "y", "z"))
 DARBOUX1 = Chart("darboux1", ("z", "p1", "q1"))
@@ -406,3 +409,29 @@ def test_lie_derivative_of_zero_form():
     assert np.allclose(
         out.coefficient(()).values(pts), pts[:, 1] + pts[:, 0] ** 2, atol=1e-14
     )
+
+
+# -- hashing ------------------------------------------------------------------
+
+
+def test_equal_forms_hash_equal():
+    x, y = (parse(name, R3.coords) for name in ("x", "y"))
+    a = DifferentialForm(R3, 1, {(0,): x, (1,): y})
+    b = DifferentialForm(R3, 1, {(1,): y, (0,): x})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a.scaled(2.0)}) == 2
+
+
+@pytest.mark.parametrize("key", default_model_keys())
+def test_default_model_objects_hash(key):
+    """A model's system, eta, cone form and descriptor hash, and serve as
+    keys; a geometry kept on the system leaves its hash as it was."""
+    model = build_model(key)
+    cone = build_cone(model.system, verify=False)
+    objects = (model.system, model.system.eta, cone.omega, model)
+    hashes = [hash(obj) for obj in objects]
+    table = {obj: k for k, obj in enumerate(objects)}
+    assert [table[obj] for obj in objects] == [0, 1, 2, 3]
+    is_contact_form(model.system, samples=16)
+    assert model.system._geometry is not None
+    assert [hash(obj) for obj in objects] == hashes

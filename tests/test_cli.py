@@ -581,11 +581,11 @@ class TestVerifyCommand:
     # its parent shows the same labels, verdicts and exit codes.
     GOLDENS = [
         (128, 20110615, "text", "93d65ced46aed4f1"),
-        (128, 20110615, "records", "a94d52a7b24d48a4"),
+        (128, 20110615, "records", "89228ca0818449cb"),
         (128, 1, "text", "f8377775b13a3b0b"),
-        (128, 1, "records", "d77af570f332781b"),
+        (128, 1, "records", "b7175da6701725b7"),
         (128, 205, "text", "70332c1ff13d8f6d"),
-        (128, 205, "records", "2efedb3b72e257f2"),
+        (128, 205, "records", "c363717b55097baa"),
         (4096, 20110615, "text", "38f1a90bfa7099a3"),
     ]
 

@@ -40,7 +40,13 @@ from contactkit.cone import (
     reeb_rate,
     scale_covariance_check,
 )
-from contactkit.contact import TOLERANCES, ContactConditionError, ContactSystem, is_contact_form
+from contactkit.contact import (
+    TOLERANCES,
+    ContactConditionError,
+    ContactSystem,
+    independence_rank,
+    is_contact_form,
+)
 from contactkit.expressions import coord, parse, random_polynomial
 from contactkit.models import build_model, default_model_keys
 
@@ -179,7 +185,7 @@ class TestClosureRoundingFloor:
         defect = DifferentialForm(cone.cone_chart, 2, {slot: 1e-6 * cone.radial_coordinate()})
         broken = replace(cone, omega=cone.omega + defect)
         pts = cone.cone_chart.sample(4096, SEED)
-        excess, _ = _ConeGeometry(broken, pts).closure()
+        excess, _ = _ConeGeometry(broken, pts).closure
         assert np.all(excess > TOLERANCES["cone_closure"])
         assert not closure_check(broken, samples=4096, seed=SEED).passed
 
@@ -387,6 +393,10 @@ class TestConeHamiltonian:
 
 
 class TestCommutingLifts:
+    """``commuting_lifts`` checks the brackets and records the number of
+    fields; the family's rank is taken on the base chart, where
+    ``classification_verdicts`` reads it."""
+
     def test_darboux_pair(self):
         system = darboux3()
         cone = build_cone(system)
@@ -395,9 +405,9 @@ class TestCommutingLifts:
         check = commuting_lift_check(cone, lifted, samples=128, seed=SEED)
         assert check.passed
         assert check.max_residual < 1e-8
-        assert check.detail["lifted_rank"] == 2
-        assert check.detail["expected_rank"] == 2
-        assert check.detail["rank_fraction"] > 0.99
+        assert check.detail == {"fields": 2}
+        rank, fraction = independence_rank(system, [h for _, h in pairs], 128, SEED)
+        assert rank == 2 and fraction > 0.99
 
     def test_heisenberg_integrable_family(self):
         system = heisenberg(1)
@@ -410,7 +420,8 @@ class TestCommutingLifts:
         lifted = [lift(cone, X, h, samples=128, seed=SEED, verify=False) for X, h in pairs]
         check = commuting_lift_check(cone, lifted, samples=128, seed=SEED)
         assert check.passed
-        assert check.detail["lifted_rank"] == 2 == check.detail["expected_rank"]
+        assert check.detail == {"fields": 2}
+        assert independence_rank(system, [h for _, h in pairs], 128, SEED)[0] == 2 == system.n + 1
 
     def test_single_field_is_trivially_commuting(self):
         system = darboux3()
@@ -419,7 +430,19 @@ class TestCommutingLifts:
         check = commuting_lift_check(cone, [lifted], samples=32, seed=SEED)
         assert check.passed
         assert check.max_residual == 0.0
-        assert check.detail["lifted_rank"] == 1
+        assert check.detail == {"fields": 1}
+        assert independence_rank(system, [translation_field(system)[1]], 32, SEED)[0] == 1
+
+    def test_computes_no_rank(self, monkeypatch):
+        model = build_model("sphere_weighted(3,2,4,3,3)")
+        cone = build_cone(model.system, verify=False)
+        lifted = [lift(cone, X, h, 32, SEED, verify=False) for X, h in model.commuting_pairs]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("commuting_lift_check computed an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert commuting_lift_check(cone, lifted, 32, SEED).detail == {"fields": len(lifted)}
 
     def test_needs_at_least_one_pair(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -744,9 +767,11 @@ def test_lifted_lie_derivative_swell_counts():
 
 def test_pointwise_tape_counts(monkeypatch):
     """sphere_weighted(3,2,4,3,3): the cone geometry's one tape has omega's
-    28 coefficients and their 224 non-zero partials as roots, on 2,192
+    28 coefficients and the 175 of their 224 non-zero partials that
+    ``d(omega)`` and the homogeneity defect read as roots, on 1,654
     distinct nodes; the lifted Reeb field's tape has its 8 components and
-    13 non-zero partials, on 85 distinct nodes."""
+    13 non-zero partials, on 85 distinct nodes, and ``L_X omega`` evaluates
+    all 224 partials of omega again, on 2,094 distinct nodes."""
     model = build_model("sphere_weighted(3,2,4,3,3)")
     cone = build_cone(model.system, verify=False)
     lifted = lift(cone, *model.hamiltonian_pairs[0], samples=128, seed=SEED, verify=False)
@@ -761,9 +786,9 @@ def test_pointwise_tape_counts(monkeypatch):
 
     monkeypatch.setattr(expressions, "_compile", recording)
     closure_check(cone, samples=128, seed=SEED)
-    assert compiled == [(252, 2_192)]
+    assert compiled == [(203, 1_654)]
     lift_checks(cone, lifted, samples=128, seed=SEED)
-    assert compiled == [(252, 2_192), (21, 85)]
+    assert compiled == [(203, 1_654), (21, 85), (224, 2_094)]
 
 
 def test_cone_hamiltonian_tape_takes_no_field_partials(monkeypatch):
@@ -817,12 +842,27 @@ def _within_rounding(got, want, scale, dim):
     assert np.all(deviation <= ORACLE_ROUNDOFFS_PER_DIM * dim * _U * scale)
 
 
-def _dense(slots, rows, n, dim):
-    out = np.zeros((n, dim, dim))
-    for (i, j), v in zip(slots, rows):
-        out[:, i, j] = v
-        out[:, j, i] = -v
-    return out
+def _upper(form, pts):
+    """The coefficients of a 2-form at every slot above the diagonal, (n,
+    D(D-1)/2) in row-major order, zeros where it has none."""
+    dim = form.chart.dim
+    values = form.coefficient_arrays(pts)
+    return np.stack(
+        [values.get((i, j), np.zeros(len(pts))) for i in range(dim) for j in range(i + 1, dim)],
+        axis=1,
+    )
+
+
+def _largest_partial(form, pts):
+    """Per point, the largest |first partial| of a coefficient of ``form``,
+    from the coefficients' own jets."""
+    return _largest(np.stack([e.jets(pts)[1] for e in form.coefficients.values()], axis=1))
+
+
+def _within_rounding_entrywise(got, want, scale, dim):
+    """Every entry of ``got`` (point first) within rounding of ``want``."""
+    deviation = np.abs(got - want).reshape(len(got), -1)
+    assert np.all(deviation <= ORACLE_ROUNDOFFS_PER_DIM * dim * _U * scale[:, None])
 
 
 @pytest.mark.parametrize("key", default_model_keys())
@@ -843,11 +883,13 @@ def test_pointwise_contracts_match_the_symbolic_calculus(key, seed):
     X, J = _field_arrays(cone, Xf, pts)
     Y, JY = _field_arrays(cone, Yf, pts)
     r = pts[:, -1]
-    dW = _largest(np.moveaxis(geometry.dW, 2, 0))
+    dW = _largest_partial(omega, pts)
     W = _largest(geometry.W)
-    _within_rounding(
-        geometry.lie(X, J),
-        lie_derivative(Xf, omega).matrix(pts),
+    lie_values = geometry.lie(X, J)
+    assert lie_values.shape == (len(pts), dim * (dim - 1) // 2)
+    _within_rounding_entrywise(
+        lie_values,
+        _upper(lie_derivative(Xf, omega), pts),
         _largest(X) * dW + W * _largest(J),
         dim,
     )
@@ -867,9 +909,128 @@ def test_pointwise_contracts_match_the_symbolic_calculus(key, seed):
         dim,
     )
     defect = (lie_derivative(cone.liouville, omega) - omega.scaled(2.0)).coefficient_arrays(pts)
-    _within_rounding(
-        _dense(geometry.slots, geometry.homogeneity(), len(pts), dim),
-        _dense(defect.keys(), defect.values(), len(pts), dim),
+    assert set(defect) <= set(geometry.slots)
+    zero = np.zeros(len(pts))
+    _within_rounding_entrywise(
+        geometry.homogeneity.T,
+        np.stack([defect.get(slot, zero) for slot in geometry.slots], axis=1),
         r * dW + W,
         dim,
     )
+
+
+# -- the streamed cone geometry against dense partials ---------------------
+
+
+def _dense_partials(omega, pts):
+    """``dW[k, l, n]``: the partial along coordinate ``l`` of omega's
+    coefficient at its ``k``-th slot, zeros where it is structurally zero."""
+    n, dim = pts.shape
+    dW = np.zeros((len(omega.coefficients), dim, n))
+    for k, expr in enumerate(omega.coefficients.values()):
+        for name in expr.free_coords:
+            dW[k, expr.coords.index(name)] = expr.derivative(name).values(pts)
+    return dW
+
+
+@pytest.mark.parametrize("key", default_model_keys())
+def test_streamed_geometry_equals_dense_partials_bit_for_bit(key):
+    """The closure, the homogeneity defect and ``L_X omega`` that the cone
+    geometry streams from its tapes have the bits of the same sums over a
+    dense array of every partial: ``d(omega)``'s coefficients summed in
+    ``_exterior_terms`` order, and ``X^l d_l omega`` in the order of ``l``."""
+    from contactkit.charts import _exterior_terms
+
+    cone = build_cone(build_model(key).system, verify=False)
+    pts = cone.cone_chart.sample(64, SEED)
+    geometry = _ConeGeometry(cone, pts)
+    slots = list(cone.omega.coefficients)
+    dW = _dense_partials(cone.omega, pts)
+    by_slot = {}
+    for slot, sign, coefficient, i in _exterior_terms(cone.omega):
+        by_slot.setdefault(slot, []).append(sign * dW[slots.index(coefficient), i])
+    excess, floor = np.zeros(len(pts)), np.zeros(len(pts))
+    for parts in by_slot.values():
+        parts = np.stack(parts)
+        slot_floor = cone_module.CLOSURE_ROUNDING_FACTOR * cone_module._UNIT_ROUNDOFF * np.sum(
+            np.abs(parts), axis=0
+        )
+        excess = np.maximum(excess, np.abs(np.sum(parts, axis=0)) - slot_floor)
+        floor = np.maximum(floor, slot_floor)
+    assert geometry.closure[0].tobytes() == excess.tobytes()
+    assert geometry.closure[1].tobytes() == floor.tobytes()
+    W = cone.omega.matrix(pts)
+    assert geometry.W.tobytes() == W.tobytes()
+    radial = pts.shape[1] - 1
+    defect = pts[:, radial] * dW[:, radial, :]
+    for k, (i, j) in enumerate(slots):
+        defect[k] -= (1.0 if j == radial else 2.0) * W[:, i, j]
+    assert geometry.homogeneity.tobytes() == defect.tobytes()
+    field = _random_field(cone.cone_chart, np.random.default_rng([SEED, 7]))
+    X, J = _field_arrays(cone, field, pts)
+    A = W @ J
+    L = A - np.swapaxes(A, 1, 2)
+    along = np.einsum("kln,nl->kn", dW, X)
+    for k, (i, j) in enumerate(slots):
+        L[:, i, j] += along[k]
+    upper_i, upper_j = np.triu_indices(pts.shape[1], 1)
+    assert geometry.lie(X, J).tobytes() == L[:, upper_i, upper_j].copy().tobytes()
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("key", ["cosphere_torus(2)", "sphere_weighted(3,2,4,3,3)"])
+def test_cone_geometry_keeps_no_partials(key):
+    """Every array a cone geometry keeps has at most ``n D^2`` entries: it
+    keeps no ``dW (K, D, n)``."""
+    cone = build_cone(build_model(key).system, verify=False)
+    pts = cone.cone_chart.sample(64, SEED)
+    closure_check(cone, samples=64, seed=SEED)
+    geometry = cone._geometry
+    n, dim = pts.shape
+    kept = [a for value in vars(geometry).values() for a in _arrays(value)]
+    assert kept and all(a.size <= n * dim * dim for a in kept)
+
+
+# -- the lift's pointwise precondition --------------------------------------
+
+
+@pytest.mark.parametrize("key", default_model_keys())
+def test_pointwise_precondition_matches_the_symbolic_form(key):
+    """On a random polynomial field and rate, which satisfy no identity,
+    ``max_j |(L_X eta)_j - a eta_j|`` from one order-1 tape equals the max
+    coefficient of the symbolic ``L_X eta - a eta`` to within rounding."""
+    system = build_model(key).system
+    chart, eta = system.chart, system.eta
+    rng = np.random.default_rng([SEED, 11])
+    field = _random_field(chart, rng)
+    rate = random_polynomial(chart.coords, 2, rng, n_terms=4)
+    pts = chart.sample(64, SEED)
+    got = cone_module._precondition_residuals(system, field, rate, pts)
+    want = (lie_derivative(field, eta) - eta.scaled(rate)).max_abs(pts)
+    E = eta.covector(pts)
+    dE = _largest(np.stack([e.jets(pts)[1] for e in eta.coefficients.values()], axis=1))
+    X, J = field.evaluate(pts), field.jacobian(pts)
+    scale = _largest(X) * dE + _largest(E) * (_largest(J) + np.abs(rate.values(pts)))
+    assert np.all(np.abs(got - want) <= ORACLE_ROUNDOFFS_PER_DIM * chart.dim * _U * scale)
+    assert np.all(want > 0.0)
+
+
+@pytest.mark.parametrize("key", default_model_keys())
+def test_non_contact_field_raises_on_every_model(key):
+    """A Hamiltonian field plus a random polynomial field is no contact
+    transformation on any default model."""
+    model = build_model(key)
+    cone = build_cone(model.system, verify=False)
+    field, hamiltonian = model.hamiltonian_pairs[0]
+    bad = field + _random_field(model.system.chart, np.random.default_rng([SEED, 13]))
+    tol = TOLERANCES["lift_precondition"]
+    with pytest.raises(ContactTransformationError, match=rf"max \|L_X eta - a eta\| = .* > {tol:g} at"):
+        lift(cone, bad, hamiltonian)
+    lift(cone, field, hamiltonian)  # the field itself lifts

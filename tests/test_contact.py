@@ -41,7 +41,7 @@ from contactkit.contact import (
     verify_flow_identity,
 )
 from contactkit.expressions import EvalDomainError, ScalarExpr, const, parse, random_polynomial
-from contactkit.models import build_model
+from contactkit.models import build_model, default_model_keys
 
 SEED = 20110615
 
@@ -692,6 +692,56 @@ class TestJacobianTerm:
         assert geometry._inverse is not None and len(arrays) >= 9
         n, d = pts.shape
         assert max(a.size for a in arrays) <= n * (d + 1) ** 2
+
+
+class TestTapeOrders:
+    """Only a solve that asks for Jacobians forms Hessians: the geometry's
+    tape of eta and every other solve are of order 1, and ``curved`` is read
+    from the expressions."""
+
+    def test_only_jacobian_solves_run_order_two(self, monkeypatch):
+        system = build_model("cosphere_torus(2)").system
+        eta = tuple(system.eta.coefficients.values())
+        h = random_polynomial(system.chart.coords, 3, np.random.default_rng([SEED, 46]))
+        pts = system.chart.sample(64, SEED)
+        calls = []
+        jets_of = contact_module._jets_of
+
+        def spy(exprs, points, take, order=2):
+            calls.append((tuple(exprs), order))
+            return jets_of(exprs, points, take, order)
+
+        monkeypatch.setattr(contact_module, "_jets_of", spy)
+        geometry = contact_module._Geometry(system, pts)
+        assert geometry.curved
+        (plain,) = geometry.solved(h)
+        (full,) = geometry.solved(h, jacobians=True)
+        assert calls == [(eta, 1), ((h,), 1), ((h,), 2), (eta, 2)]
+        for a, b in zip((plain.value, plain.grad, plain.a, plain.X), (full.value, full.grad, full.a, full.X)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("key", default_model_keys())
+    def test_structural_curvature_is_the_order_two_verdict(self, key):
+        """On eta, the scalar data and the cone form of every default model."""
+        from contactkit.cone import build_cone
+        from contactkit.expressions import _curved, _jets_of
+
+        model = build_model(key)
+        system = model.system
+        cone = build_cone(system, verify=False)
+        pts = system.chart.sample(16, SEED)
+        groups = [
+            (tuple(system.eta.coefficients.values()), pts),
+            *(((e,), pts) for e in (*system.integrals, *(h for _, h in model.hamiltonian_pairs))),
+            *(((e,), cone.cone_chart.sample(16, SEED)) for e in cone.omega.coefficients.values()),
+        ]
+        for exprs, at in groups:
+            seen = []
+            _jets_of(exprs, at, lambda r, v, g, h: seen.append(h is not None))
+            assert _curved(exprs) == any(seen)
+        hessians = []
+        _jets_of(groups[0][0], pts, lambda r, v, g, h: hessians.append(h is not None))
+        assert contact_module._Geometry(system, pts).curved == any(hessians)
 
 
 # -- isotropy defect ------------------------------------------------------

@@ -814,11 +814,15 @@ def _printed(e):
     return parse(str(e), XYZ)
 
 
-def _check_jet_tape(roots, pts):
-    """One multi-root tape call against the reference, root by root."""
+def _check_jet_tape(roots, pts, order=2):
+    """One multi-root tape call of ``order`` 1 or 2 against the reference,
+    root by root; at order 1 every Hessian is ``None``, and the values and
+    gradients are the reference's bit for bit."""
     from contactkit.expressions import _jets_of
 
     want = [_jet_outcome(e._root, pts) for e in roots]
+    if order == 1:
+        want = [w if isinstance(w, str) else (w[0], w[1], None) for w in want]
     got = {}
 
     def take(r, v, g, h):
@@ -829,10 +833,10 @@ def _check_jet_tape(roots, pts):
     if errors:
         # the first failing root in order raises first
         with pytest.raises(EvalDomainError) as raised:
-            _jets_of(roots, pts, take)
+            _jets_of(roots, pts, take, order=order)
         assert str(raised.value) == errors[0]
     else:
-        _jets_of(roots, pts, take)
+        _jets_of(roots, pts, take, order=order)
         assert sorted(got) == list(range(len(roots)))
     for r, jet in got.items():
         assert not isinstance(want[r], str)
@@ -857,6 +861,65 @@ def test_jet_tape_matches_recursive_reference_on_functions(seed):
     rng = np.random.default_rng(seed)
     e = _random_expr(rng, XYZ, 3)
     _check_jet_tape([e, _printed(e), -e], rng.uniform(-1.5, 1.5, size=(4, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dag_exprs(), min_size=1, max_size=3), _JET_POINTS)
+def test_order_one_tape_is_the_jet_without_hessians(exprs, values):
+    # the roots of test_jet_tape_matches_recursive_reference, at order 1
+    exprs = [*exprs, *map(_printed, exprs)]
+    whole = exprs[0] * exprs[-1] - exprs[len(exprs) // 2]
+    _check_jet_tape([whole, *exprs, whole], np.array(values).reshape(2, 3), order=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_order_one_tape_is_the_jet_without_hessians_on_functions(seed):
+    rng = np.random.default_rng(seed)
+    e = _random_expr(rng, XYZ, 3)
+    _check_jet_tape([e, _printed(e), -e], rng.uniform(-1.5, 1.5, size=(4, 3)), order=1)
+
+
+def _hessian_verdict(exprs, pts):
+    """Whether an order-2 tape gives some root a Hessian that is not
+    ``None``, or ``None`` where it raises a domain error."""
+    from contactkit.expressions import _jets_of
+
+    seen = []
+    try:
+        _jets_of(exprs, pts, lambda r, v, g, h: seen.append(h is not None))
+    except EvalDomainError:
+        return None
+    return any(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dag_exprs(), min_size=1, max_size=3))
+def test_structural_curvature_is_the_order_two_verdict(exprs):
+    # Whether a Hessian is None does not depend on the points, so any
+    # points where the tape raises nothing decide it.
+    from contactkit.expressions import _curved
+
+    exprs = [*exprs, *map(_printed, exprs)]
+    rng = np.random.default_rng(len(exprs))
+    for roots in [[e] for e in exprs] + [exprs]:
+        verdicts = {_hessian_verdict(roots, rng.uniform(0.2, 1.7, size=(2, 3))) for _ in range(4)}
+        verdicts.discard(None)
+        assert len(verdicts) <= 1
+        if verdicts:
+            assert _curved(roots) == verdicts.pop()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_structural_curvature_is_the_order_two_verdict_on_functions(seed):
+    from contactkit.expressions import _curved
+
+    rng = np.random.default_rng(seed)
+    e = _random_expr(rng, XYZ, 3)
+    verdict = _hessian_verdict([e], rng.uniform(0.2, 1.7, size=(4, 3)))
+    if verdict is not None:
+        assert _curved([e]) == verdict
 
 
 def _has_division(e):

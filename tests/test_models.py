@@ -110,8 +110,8 @@ class TestBattery:
     def test_wrong_closed_form_lift_fails_cone_lifts(self):
         model = self._with_lifts(
             basic_example(),
-            ({"x": "2"}, "-(r^2 * y)"),
-            ({"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+            ((("x", "2"),), "-(r^2 * y)"),
+            ((("y", "y"), ("z", "z"), ("r", "-r / 2")), "r^2 * z"),
         )
         verdicts = {label: result.passed for label, result in model.verify_all(16, SEED)}
         assert (verdicts["cone_lifts"], verdicts["cone_hamiltonians"]) == (False, True)
@@ -119,8 +119,8 @@ class TestBattery:
     def test_wrong_induced_hamiltonian_fails_cone_hamiltonians(self):
         model = self._with_lifts(
             basic_example(),
-            ({"x": "1"}, "r^2 * y"),
-            ({"y": "y", "z": "z", "r": "-r / 2"}, "r^2 * z"),
+            ((("x", "1"),), "r^2 * y"),
+            ((("y", "y"), ("z", "z"), ("r", "-r / 2")), "r^2 * z"),
         )
         verdicts = {label: result.passed for label, result in model.verify_all(16, SEED)}
         assert (verdicts["cone_lifts"], verdicts["cone_hamiltonians"]) == (True, False)
@@ -129,7 +129,7 @@ class TestBattery:
         model = build_model("heisenberg(1)")
         foreign = (model.system.reeb, model.system.chart.parse("1"))
         with pytest.raises(ValueError, match="expected lift .* not one of its hamiltonian_pairs"):
-            replace(model, expected_lifts=((foreign, {}, "r^2"),))
+            replace(model, expected_lifts=((foreign, (), "r^2"),))
 
 
 # -- closed-form pair data -------------------------------------------------
